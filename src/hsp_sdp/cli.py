@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import composite as cx
 from . import group as gr
@@ -155,6 +154,10 @@ def _cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
+        # imported here so that processes which never fan out (solve,
+        # verify-catalog, one-worker sweeps, library use) skip loading it
+        from concurrent.futures import ProcessPoolExecutor
+
         # seeds derive from (base seed, catalog index, trial), so scheduling
         # cannot change the output
         with ProcessPoolExecutor(max_workers=jobs) as pool:

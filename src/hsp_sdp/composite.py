@@ -157,6 +157,14 @@ class FactorOracle:
         self._parent.simulation_cost += 1
         return self._label(g)
 
+    def _label_array(self, a, b):
+        return self._parent._label_array(a * self._unit % self._parent.group.x_mod, b)
+
+    def _sim_eval_array(self, a, b):
+        self.simulation_cost += len(a)
+        self._parent.simulation_cost += len(a)
+        return self._label_array(a, b)
+
 
 @dataclass(frozen=True)
 class CompositeSolveResult:

@@ -7,12 +7,15 @@ as a*p^2 + b; solvers must treat labels as equality-only tokens.
 
 Accounting: query() and charge_superposition_query() bump query_count by one
 each; _sim_eval() bumps simulation_cost instead (simulator-side work such as
-domain scans, never visible to the algorithm being costed).
+domain scans, never visible to the algorithm being costed), and
+_sim_eval_array() bumps it by the number of elements it labels.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from . import group as gr
 from . import subgroup as sg
@@ -55,6 +58,7 @@ class HidingOracle:
         self.query_count = 0
         self.simulation_cost = 0
         self._apow = gr._alpha_pows(group)
+        self._apow_array = np.array(self._apow, dtype=np.int64)
         self._reps = hidden_table.reps
         self._d = hidden_table.x_step
         self._domain_views: dict[int, tuple] = {}
@@ -72,6 +76,28 @@ class HidingOracle:
                 best_a, best_b = ca, cb
         return Label(best_a * y_mod + best_b)
 
+    def _label_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed.
+
+        Per rep (rb, ra) the candidate is ca * y_mod + cb with
+        ca = (a + alpha^b * ra) % d and cb = (b + rb) % y_mod; the least
+        candidate is the lex-least (ca, cb) because cb < y_mod. All but a % d
+        depends on b alone, so it comes from a y_mod-entry table per rep, and
+        the sum passes d * y_mod at most once. Every intermediate stays below
+        x_mod^2 < 2^48 under the oracle guard, so int64 arithmetic is exact.
+        """
+        y_mod, d = self.group.y_mod, self._d
+        wrap = d * y_mod
+        a_part = a % d * y_mod
+        ys = np.arange(y_mod)
+        best = None
+        for rb, ra in self._reps:
+            table = self._apow_array * ra % d * y_mod + (ys + rb) % y_mod
+            packed = a_part + table[b]
+            packed -= wrap * (packed >= wrap)
+            best = packed if best is None else np.minimum(best, packed, out=best)
+        return best
+
     def query(self, g: gr.Element) -> Label:
         self.query_count += 1
         return self._label(g)
@@ -84,9 +110,9 @@ class HidingOracle:
         self.simulation_cost += 1
         return self._label(g)
 
-    def _testing_table(self) -> sg.SubgroupTable:
-        """Test-suite accessor; never to be called by solver code."""
-        return self._hidden
+    def _sim_eval_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        self.simulation_cost += len(a)
+        return self._label_array(a, b)
 
 
 def make_oracle(gp: gr.GroupParams, descriptor: sg.Descriptor) -> HidingOracle:

@@ -9,6 +9,12 @@ and measure. Classically that is:
     coset_sample     draw the post-collapse support (a coset of K)
     fourier_sample   draw one Fourier outcome (uniform on the annihilator)
 
+The level sets behind coset_sample come from one array pass per (oracle,
+domain): the domain's embed is evaluated on int64 index arrays covering the
+whole register (C order) and the oracle labels them all at once. Every embed
+must therefore work elementwise on arrays as well as on tuples of ints (see
+Domain); the scan checks the two agree at a few points.
+
 Outcome probabilities are exact rationals: for a coset support the Fourier
 amplitude at character c is a root-of-unity sum that is either |S| (character
 trivial on K) or sweeps a nontrivial cyclic subgroup of phases uniformly and
@@ -22,10 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Callable
+from functools import cached_property, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,6 +155,14 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
 class Domain:
     """An embedded register domain: dims plus a map into the ambient group.
 
+    Embed contract: embed(pt) takes a register point as a tuple of Python
+    ints and returns the group element (a, b). The level-set scan also calls
+    it once with a tuple of int64 arrays (every register point, C order) and
+    expects the elementwise result: arrays, or constants that broadcast. Plain
+    `*`, `+`, `-`, `%` and constant arithmetic meets this; the scan compares
+    the two forms at a few points and raises PreconditionViolated on a
+    mismatch.
+
     Identity-keyed on purpose: the per-oracle level-set scan is cached per
     (oracle, domain object), so reusing one Domain across samples costs one
     scan total.
@@ -159,13 +173,43 @@ class Domain:
     name: str = ""
 
 
-class _DomainView:
-    __slots__ = ("label_of", "classes", "k_gens")
+class _DomainView(NamedTuple):
+    labels: np.ndarray  # level-set label of every register point, C order
+    k_gens: tuple[Register, ...]
 
-    def __init__(self, label_of, classes, k_gens):
-        self.label_of = label_of
-        self.classes = classes
-        self.k_gens = k_gens
+
+def _point(flat: int, dims: Register) -> Register:
+    return tuple(int(c) for c in np.unravel_index(flat, dims))
+
+
+def _embed_array(domain: Domain, coords) -> tuple[np.ndarray, np.ndarray]:
+    """domain.embed over every register point at once, checked against the
+    scalar embed at the zero point, each unit vector and the last point."""
+    dims = domain.dims
+    size = coords[0].size
+    a, b = (
+        np.broadcast_to(np.asarray(v, dtype=np.int64), (size,))
+        for v in domain.embed(coords)
+    )
+    probes = [0, size - 1] + [math.prod(dims[j + 1:]) for j in range(len(dims))]
+    for flat in probes:
+        pt = _point(flat, dims)
+        if tuple(domain.embed(pt)) != (int(a[flat]), int(b[flat])):
+            raise PreconditionViolated(
+                f"domain {domain.name!r}: embed on arrays disagrees with embed{pt}"
+            )
+    return a, b
+
+
+def _span_mask(dims: Register, coords, gens) -> np.ndarray:
+    """Membership in span(gens): <u, w> == 0 (mod L) for every w in the
+    annihilator dual_kernel(dims, gens) (the double annihilator is the span)."""
+    L = math.lcm(*dims)
+    mask = np.ones(coords[0].size, dtype=bool)
+    for w in dual_kernel(dims, gens):
+        pairing = sum(c * (wj * (L // n) % L) for c, wj, n in zip(coords, w, dims))
+        mask &= pairing % L == 0
+    return mask
 
 
 def _domain_view(o, domain: Domain) -> _DomainView:
@@ -173,48 +217,40 @@ def _domain_view(o, domain: Domain) -> _DomainView:
     if cached is not None and cached[0] is domain:
         return cached[1]
     dims = domain.dims
-    label_of = {}
-    classes: dict = {}
-    for pt in itertools.product(*(range(n) for n in dims)):
-        lbl = o._sim_eval(domain.embed(pt))
-        label_of[pt] = lbl
-        classes.setdefault(lbl, []).append(pt)
-    id_class = classes[label_of[_zero(dims)]]
-    k_gens = _derive_span_gens(dims, id_class)
-    span = register_span(dims, k_gens)
-    if span != frozenset(id_class):
+    coords = np.unravel_index(np.arange(math.prod(dims)), dims)
+    labels = o._sim_eval_array(*_embed_array(domain, coords))
+    # K generators: repeatedly the first point of K, in sorted (= C) order,
+    # outside the span of the generators so far.
+    in_k = labels == labels[0]
+    k_gens: list[Register] = []
+    while True:
+        span = _span_mask(dims, coords, k_gens)
+        outside = in_k & ~span
+        if not outside.any():
+            break
+        k_gens.append(_point(int(np.argmax(outside)), dims))
+    if np.any(span != in_k):
         raise PreconditionViolated(
             f"identity level set of domain {domain.name!r} is not a register subgroup"
         )
-    sizes = {len(pts) for pts in classes.values()}
-    if sizes != {len(id_class)}:
+    k_size = int(np.count_nonzero(in_k))
+    _, counts = np.unique(labels, return_counts=True)
+    if np.any(counts != k_size):
         raise PreconditionViolated(
             f"level sets of domain {domain.name!r} have unequal sizes"
         )
-    if math.prod(dims) <= FULL_VALIDATE_LIMIT:
-        for pts in classes.values():
-            neg = tuple(-b % n for b, n in zip(pts[0], dims))
-            if {_add(pt, neg, dims) for pt in pts} != span:
-                raise PreconditionViolated(
-                    f"a level set of domain {domain.name!r} is not a coset of K"
-                )
-    view = _DomainView(
-        label_of=label_of,
-        classes={lbl: frozenset(pts) for lbl, pts in classes.items()},
-        k_gens=k_gens,
-    )
+    if labels.size <= FULL_VALIDATE_LIMIT:
+        # rows: the points of one level set, in C order. A row less its first
+        # point is |K| distinct points, so it equals K iff it lies in K.
+        rows = np.argsort(labels, kind="stable").reshape(-1, k_size)
+        shifted = [(c[rows] - c[rows[:, :1]]) % n for c, n in zip(coords, dims)]
+        if not np.all(span[np.ravel_multi_index(shifted, dims)]):
+            raise PreconditionViolated(
+                f"a level set of domain {domain.name!r} is not a coset of K"
+            )
+    view = _DomainView(labels=labels, k_gens=tuple(k_gens))
     o._domain_views[id(domain)] = (domain, view)
     return view
-
-
-def _derive_span_gens(dims: Register, points) -> tuple[Register, ...]:
-    span: frozenset = frozenset({_zero(dims)})
-    gens: list[Register] = []
-    for pt in sorted(points):
-        if pt not in span:
-            gens.append(pt)
-            span = register_span(dims, gens)
-    return tuple(gens)
 
 
 # ------------------------------------------------------------ sampling
@@ -222,33 +258,47 @@ def _derive_span_gens(dims: Register, points) -> tuple[Register, ...]:
 
 @dataclass(frozen=True)
 class CosetSupport:
-    """Post-measurement support: a coset base + K of the register domain."""
+    """Post-measurement support: a coset base + K of the register domain.
 
-    points: frozenset
+    `labels` are the level-set labels of the whole domain in C order; the
+    support is the level set of `base`, materialized only when read.
+    """
+
     dims: Register
     base: Register
     gens: tuple[Register, ...]  # generators of K, shared by every sample
+    labels: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.base not in self.points:
-            raise PreconditionViolated("support base must lie in the support")
+    @cached_property
+    def points(self) -> frozenset:
+        flat = np.ravel_multi_index(self.base, self.dims)
+        members = np.flatnonzero(self.labels == self.labels[flat])
+        coords = np.unravel_index(members, self.dims)
+        return frozenset(zip(*(c.tolist() for c in coords)))
 
 
 def coset_sample(o, domain: Domain, rng) -> CosetSupport:
     """One superposed query + label measurement: costs exactly one query.
 
-    Simulation cost is |domain| once per (oracle, domain) for the level-set
-    scan, cached afterwards.
+    The first call per (oracle, domain) runs the level-set scan: one array
+    pass of the embed and the label function over the whole domain, counted
+    as |domain| simulation evaluations. Later calls reuse the cached scan.
     """
     if math.prod(domain.dims) > COSET_GUARD:
         raise TooLarge(f"domain size {math.prod(domain.dims)} exceeds 2^20 guard")
     view = _domain_view(o, domain)
     base = tuple(rng.randrange(n) for n in domain.dims)
     o.charge_superposition_query()
-    points = view.classes[view.label_of[base]]
-    if len(points) * len(view.classes) != math.prod(domain.dims):
-        raise PreconditionViolated("level sets do not tile the domain")
-    return CosetSupport(points=points, dims=domain.dims, base=base, gens=view.k_gens)
+    return CosetSupport(dims=domain.dims, base=base, gens=view.k_gens, labels=view.labels)
+
+
+def _level_sets(view: _DomainView, dims: Register) -> list[CosetSupport]:
+    """One support per level set, ordered by least point."""
+    _, firsts = np.unique(view.labels, return_index=True)
+    return [
+        CosetSupport(dims=dims, base=_point(f, dims), gens=view.k_gens, labels=view.labels)
+        for f in np.sort(firsts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -344,8 +394,8 @@ def dense_reference_distribution(o, domain: Domain) -> dict:
         idx = np.arange(n)
         mats.append(np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n))
     out = np.zeros(dims, dtype=float)
-    for lbl in sorted(view.classes, key=lambda l: min(view.classes[l])):
-        pts = view.classes[lbl]
+    for s in _level_sets(view, dims):
+        pts = s.points
         amp = np.zeros(dims, dtype=complex)
         a0 = 1.0 / math.sqrt(len(pts))
         for pt in pts:
@@ -364,11 +414,9 @@ def branch_mixture_distribution(o, domain: Domain) -> OutcomeDistribution:
     dims = domain.dims
     n_total = math.prod(dims)
     acc: dict = {}
-    for lbl in sorted(view.classes, key=lambda l: min(view.classes[l])):
-        pts = view.classes[lbl]
-        s = CosetSupport(points=pts, dims=dims, base=min(pts), gens=view.k_gens)
+    for s in _level_sets(view, dims):
         dist = fourier_distribution(s, dims)
-        weight = Fraction(len(pts), n_total)
+        weight = Fraction(len(s.points), n_total)
         for c, p in dist.probs.items():
             acc[c] = acc.get(c, Fraction(0)) + weight * p
     return OutcomeDistribution(dims=dims, probs=acc)

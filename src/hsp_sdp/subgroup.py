@@ -219,9 +219,6 @@ class SubgroupTable:
         assert u == 1
         return v
 
-    def y_projection(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.reps)
-
 
 def table_for(gp: gr.GroupParams, d: Descriptor) -> SubgroupTable:
     return SubgroupTable.from_generators(gp, generators(gp, d))

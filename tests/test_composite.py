@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hsp_sdp import composite as cx
@@ -83,6 +85,21 @@ def test_parent_group_is_isomorphic_to_factor_product():
         s1, q1 = split(g1)
         s2, q2 = split(g2)
         assert whole == (gr.mul(factor, s1, s2), (q1 + q2) % 5)
+
+
+def test_factor_oracle_array_labels_match_scalar_labels():
+    cp = params()
+    dec = cx.decompose(cp)
+    o = orc.make_oracle_from_generators(dec.parent, [(2 * 730 % N, 3), (486, 0)])
+    fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
+    elems = list(itertools.product(range(243), range(9)))
+    a = np.array([g[0] for g in elems], dtype=np.int64)
+    b = np.array([g[1] for g in elems], dtype=np.int64)
+    want = [fo._label(g)._packed for g in elems]
+    assert fo._sim_eval_array(a, b).tolist() == want
+    assert fo.simulation_cost == len(elems)
+    assert o.simulation_cost == len(elems)
+    assert fo.query_count == o.query_count == 0
 
 
 # ------------------------------------------------------------------ solving

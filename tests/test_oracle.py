@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hsp_sdp import group as gr
@@ -43,6 +44,20 @@ def test_labels_match_literal_coset_minimum(gp, descr):
     hidden = sg.elements(gp, descr)
     for g in itertools.product(range(gp.x_mod), range(gp.y_mod)):
         assert o.query(g)._packed == literal_coset_min_label(gp, hidden, g)
+
+
+@pytest.mark.parametrize("tau", [0, 1, 3])
+def test_array_labels_match_scalar_labels_on_catalog(tau):
+    gp = gr.make_group(3, 5, tau)
+    elems = list(itertools.product(range(gp.x_mod), range(gp.y_mod)))
+    a = np.array([g[0] for g in elems], dtype=np.int64)
+    b = np.array([g[1] for g in elems], dtype=np.int64)
+    for descr in sg.enumerate_catalog(gp):
+        o = orc.make_oracle(gp, descr)
+        want = [o._label(g)._packed for g in elems]
+        assert o._sim_eval_array(a, b).tolist() == want, descr
+        assert o.simulation_cost == len(elems)
+        assert o.query_count == 0
 
 
 def test_hiding_property_random_pairs():

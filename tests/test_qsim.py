@@ -9,7 +9,7 @@ from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
 from hsp_sdp import subgroup as sg
-from hsp_sdp.errors import DimensionMismatch, TooLarge
+from hsp_sdp.errors import DimensionMismatch, PreconditionViolated, TooLarge
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -127,6 +127,76 @@ def test_coset_points_share_label():
     s = qsim.coset_sample(o, dom, random.Random(4))
     labels = {o.query((pt[0] % 243, pt[1])) for pt in s.points}
     assert len(labels) == 1
+
+
+def first_outside_span_gens(dims, k_points):
+    """Reference rule for K generators: each is the first point of K, in
+    sorted order, outside the span of the generators before it."""
+    gens = []
+    span = qsim.register_span(dims, gens)
+    for pt in sorted(k_points):
+        if pt not in span:
+            gens.append(pt)
+            span = qsim.register_span(dims, gens)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("gp", [G351, G353])
+def test_k_gens_follow_first_point_outside_span(gp):
+    domains = [
+        qsim.Domain((27, 9), lambda pt: (9 * pt[0] % 243, pt[1]), name="plane"),
+        x_axis_domain(gp),
+        y_axis_domain(gp),
+    ]
+    for descr in sg.enumerate_catalog(gp):
+        o = orc.make_oracle(gp, descr)
+        for dom in domains:
+            s = qsim.coset_sample(o, dom, random.Random(0))
+            ref = o.query(dom.embed(qsim._zero(dom.dims)))
+            k_points = [
+                pt for pt in itertools.product(*map(range, dom.dims))
+                if o.query(dom.embed(pt)) == ref
+            ]
+            assert s.gens == first_outside_span_gens(dom.dims, k_points), descr
+
+
+# H = <x^9>: on the x axis the label of (a, 0) is a mod 9, so each hand-built
+# embedding below fixes the level sets of its domain directly.
+
+def test_scan_rejects_identity_level_set_that_is_not_a_subgroup():
+    # u -> u(u-1): the identity level set is {0, 1}
+    o = orc.make_oracle(G351, sg.sg1x(2))
+    dom = qsim.Domain((9,), lambda pt: (pt[0] * (pt[0] - 1) % 243, 0), name="quad")
+    with pytest.raises(PreconditionViolated, match="not a register subgroup"):
+        qsim.coset_sample(o, dom, random.Random(30))
+
+
+def test_scan_rejects_unequal_level_set_sizes():
+    # u -> u^2: level sets {0, 3, 6}, {1, 8}, {2, 7}, {4, 5}
+    o = orc.make_oracle(G351, sg.sg1x(2))
+    dom = qsim.Domain((9,), lambda pt: (pt[0] * pt[0] % 243, 0), name="square")
+    with pytest.raises(PreconditionViolated, match="unequal sizes"):
+        qsim.coset_sample(o, dom, random.Random(31))
+
+
+def test_scan_rejects_level_set_that_is_not_a_coset():
+    # (u, v) -> 3v(1 + u^2): K = {(u, 0)}, but {(0, 1), (1, 2), (2, 2)} is a
+    # level set of the right size that is no coset of K
+    o = orc.make_oracle(G351, sg.sg1x(2))
+    dom = qsim.Domain(
+        (3, 3), lambda pt: (3 * pt[1] * (1 + pt[0] * pt[0]) % 243, 0), name="twisted"
+    )
+    with pytest.raises(PreconditionViolated, match="not a coset of K"):
+        qsim.coset_sample(o, dom, random.Random(32))
+
+
+def test_scan_rejects_embed_that_differs_on_arrays():
+    # u^40 is exact on Python ints but wraps around in int64 at u = 8
+    o = orc.make_oracle(G351, sg.sg1x(2))
+    dom = qsim.Domain((9,), lambda pt: (pt[0] ** 40 % 243, 0), name="overflow")
+    with pytest.raises(PreconditionViolated, match="embed on arrays disagrees"):
+        qsim.coset_sample(o, dom, random.Random(33))
+    assert (o.query_count, o.simulation_cost) == (0, 0)
 
 
 # ---------------------------------------------------------------- fourier_distribution
