@@ -45,7 +45,7 @@ def main():
 
     # The solver's m=1 routine works on the register domain Z_3 x Z_9 embedded
     # along (x, y) directly.
-    domain = qsim.Domain((3, 9), lambda pt: (pt[0] % gp.x_mod, pt[1]), name="m=1 grid")
+    domain = qsim.Domain((3, 9), ((1, 0), (0, 1)), name="m=1 grid")
 
     print("\n== one coset-collapse draw ==")
     s = qsim.coset_sample(o, domain, rng)
@@ -79,7 +79,8 @@ def main():
     print(f"  total variation distance: {tv:.3e}")
 
     print("\n== the same machinery solves a plain abelian instance ==")
-    gens = qsim.abelian_hsp((gp.x_mod,), lambda pt: (pt[0] % gp.x_mod, 0), o, rng)
+    x_axis = qsim.Domain((gp.x_mod,), ((1, 0),), name="x-axis")
+    gens = qsim.abelian_hsp(x_axis, o, rng)
     print(f"  x-axis intersection generators: {gens}")
     print("  (cubing the hidden generator kills its y-part and lands on x^6,")
     print("   so H meets the x-axis in <x^3>; the solver uses this depth as m)")

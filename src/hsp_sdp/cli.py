@@ -65,7 +65,7 @@ def _parse_generators(text: str, x_mod: int, y_mod: int) -> list[gr.Element]:
         if not (
             isinstance(item, list)
             and len(item) == 2
-            and all(isinstance(c, int) for c in item)
+            and all(type(c) is int for c in item)
         ):
             raise ValueError(f"bad generator {item!r}; expected [a, b]")
         gens.append((item[0] % x_mod, item[1] % y_mod))
@@ -141,6 +141,8 @@ def _sweep_worker(task):
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials < 1:
+        return _fail("--trials must be at least 1")
     gp = gr.make_group(args.p, args.r, args.tau)
     catalog = sg.enumerate_catalog(gp)
     tasks = [

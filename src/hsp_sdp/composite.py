@@ -216,13 +216,8 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
     lifted: list[gr.Element] = []
     vals = []
     for fac in dec.abelian:
-        gens = qsim.abelian_hsp(
-            (fac.modulus,),
-            lambda pt, e=fac.crt_unit: (pt[0] * e % cp.N, 0),
-            o,
-            rng,
-            stats=stats,
-        )
+        slot = qsim.Domain((fac.modulus,), ((fac.crt_unit, 0),), name=f"crt-{fac.prime}")
+        gens = qsim.abelian_hsp(slot, o, rng, stats=stats)
         g = math.gcd(fac.modulus, *(u for (u,) in gens))
         v, _ = nt.p_valuation(g, fac.prime)
         vals.append((fac.prime, int(v)))

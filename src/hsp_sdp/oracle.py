@@ -61,7 +61,7 @@ class HidingOracle:
         self._apow_array = np.array(self._apow, dtype=np.int64)
         self._reps = hidden_table.reps
         self._d = hidden_table.x_step
-        self._domain_views: dict[int, tuple] = {}
+        self._domain_views: dict = {}  # qsim.Domain -> its level-set scan
 
     def _label(self, g: gr.Element) -> Label:
         a, b = g

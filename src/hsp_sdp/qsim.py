@@ -10,10 +10,8 @@ and measure. Classically that is:
     fourier_sample   draw one Fourier outcome (uniform on the annihilator)
 
 The level sets behind coset_sample come from one array pass per (oracle,
-domain): the domain's embed is evaluated on int64 index arrays covering the
-whole register (C order) and the oracle labels them all at once. Every embed
-must therefore work elementwise on arrays as well as on tuples of ints (see
-Domain); the scan checks the two agree at a few points.
+domain): the domain's linear embedding is evaluated on int64 index arrays
+covering the whole register (C order) and the oracle labels them all at once.
 
 Outcome probabilities are exact rationals: for a coset support the Fourier
 amplitude at character c is a root-of-unity sum that is either |S| (character
@@ -31,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +65,6 @@ def _add(u: Register, v: Register, dims: Register) -> Register:
 
 def _scale(k: int, u: Register, dims: Register) -> Register:
     return tuple(k * a % n for a, n in zip(u, dims))
-
-
-def register_span(dims: Register, gens) -> frozenset:
-    """Subgroup of Z_dims generated by gens (BFS closure)."""
-    span = {_zero(dims)}
-    for g in gens:
-        g = tuple(a % n for a, n in zip(g, dims))
-        frontier = list(span)
-        while frontier:
-            fresh = []
-            for u in frontier:
-                v = _add(u, g, dims)
-                if v not in span:
-                    span.add(v)
-                    fresh.append(v)
-            frontier = fresh
-    return frozenset(span)
 
 
 def _single_prime(dims: Register) -> int:
@@ -151,80 +132,67 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
 # ------------------------------------------------------------ domains
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """An embedded register domain: dims plus a map into the ambient group.
+    """A register Z_dims mapped linearly into the ambient group.
 
-    Embed contract: embed(pt) takes a register point as a tuple of Python
-    ints and returns the group element (a, b). The level-set scan also calls
-    it once with a tuple of int64 arrays (every register point, C order) and
-    expects the elementwise result: arrays, or constants that broadcast. Plain
-    `*`, `+`, `-`, `%` and constant arithmetic meets this; the scan compares
-    the two forms at a few points and raises PreconditionViolated on a
-    mismatch.
+    Register coordinate j steps by axes[j] = (dx_j, dy_j), so u embeds as
+    (sum_j u_j dx_j mod x_mod, sum_j u_j dy_j mod y_mod). The same formula
+    runs on Python ints and on int64 index arrays: u_j < 2^20 (COSET_GUARD)
+    and dx_j is reduced below x_mod < 2^24 (ORACLE_GUARD), so each term is
+    below 2^44 and a sum of at most 20 terms below 2^49.
 
-    Identity-keyed on purpose: the per-oracle level-set scan is cached per
-    (oracle, domain object), so reusing one Domain across samples costs one
-    scan total.
+    Hashed by identity on purpose: the per-oracle level-set scan is cached
+    per (oracle, domain object), so reusing one Domain across samples costs
+    one scan total, and a fresh Domain means a fresh scan.
     """
 
     dims: Register
-    embed: Callable[[Register], gr.Element]
+    axes: tuple[gr.Element, ...]
     name: str = ""
+
+    def embed(self, group: gr.SemidirectGroup, u) -> gr.Element:
+        x_mod, y_mod = group.x_mod, group.y_mod
+        a = sum(c * (dx % x_mod) for c, (dx, _) in zip(u, self.axes)) % x_mod
+        b = sum(c * (dy % y_mod) for c, (_, dy) in zip(u, self.axes)) % y_mod
+        return a, b
 
 
 class _DomainView(NamedTuple):
     labels: np.ndarray  # level-set label of every register point, C order
     k_gens: tuple[Register, ...]
+    ann: tuple[Register, ...]  # dual_kernel(dims, k_gens)
 
 
 def _point(flat: int, dims: Register) -> Register:
     return tuple(int(c) for c in np.unravel_index(flat, dims))
 
 
-def _embed_array(domain: Domain, coords) -> tuple[np.ndarray, np.ndarray]:
-    """domain.embed over every register point at once, checked against the
-    scalar embed at the zero point, each unit vector and the last point."""
-    dims = domain.dims
-    size = coords[0].size
-    a, b = (
-        np.broadcast_to(np.asarray(v, dtype=np.int64), (size,))
-        for v in domain.embed(coords)
-    )
-    probes = [0, size - 1] + [math.prod(dims[j + 1:]) for j in range(len(dims))]
-    for flat in probes:
-        pt = _point(flat, dims)
-        if tuple(domain.embed(pt)) != (int(a[flat]), int(b[flat])):
-            raise PreconditionViolated(
-                f"domain {domain.name!r}: embed on arrays disagrees with embed{pt}"
-            )
-    return a, b
-
-
-def _span_mask(dims: Register, coords, gens) -> np.ndarray:
-    """Membership in span(gens): <u, w> == 0 (mod L) for every w in the
-    annihilator dual_kernel(dims, gens) (the double annihilator is the span)."""
+def _span_mask(dims: Register, coords, ann) -> np.ndarray:
+    """Membership in span(gens) given ann = dual_kernel(dims, gens):
+    <u, w> == 0 (mod L) for every w in ann (the double annihilator is the span)."""
     L = math.lcm(*dims)
     mask = np.ones(coords[0].size, dtype=bool)
-    for w in dual_kernel(dims, gens):
+    for w in ann:
         pairing = sum(c * (wj * (L // n) % L) for c, wj, n in zip(coords, w, dims))
         mask &= pairing % L == 0
     return mask
 
 
 def _domain_view(o, domain: Domain) -> _DomainView:
-    cached = o._domain_views.get(id(domain))
-    if cached is not None and cached[0] is domain:
-        return cached[1]
+    view = o._domain_views.get(domain)
+    if view is not None:
+        return view
     dims = domain.dims
     coords = np.unravel_index(np.arange(math.prod(dims)), dims)
-    labels = o._sim_eval_array(*_embed_array(domain, coords))
+    labels = o._sim_eval_array(*domain.embed(o.group, coords))
     # K generators: repeatedly the first point of K, in sorted (= C) order,
     # outside the span of the generators so far.
     in_k = labels == labels[0]
     k_gens: list[Register] = []
     while True:
-        span = _span_mask(dims, coords, k_gens)
+        ann = dual_kernel(dims, k_gens)
+        span = _span_mask(dims, coords, ann)
         outside = in_k & ~span
         if not outside.any():
             break
@@ -248,8 +216,8 @@ def _domain_view(o, domain: Domain) -> _DomainView:
             raise PreconditionViolated(
                 f"a level set of domain {domain.name!r} is not a coset of K"
             )
-    view = _DomainView(labels=labels, k_gens=tuple(k_gens))
-    o._domain_views[id(domain)] = (domain, view)
+    view = _DomainView(labels=labels, k_gens=tuple(k_gens), ann=tuple(ann))
+    o._domain_views[domain] = view
     return view
 
 
@@ -267,6 +235,7 @@ class CosetSupport:
     dims: Register
     base: Register
     gens: tuple[Register, ...]  # generators of K, shared by every sample
+    ann: tuple[Register, ...]  # generators of the annihilator of K
     labels: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
@@ -281,7 +250,7 @@ def coset_sample(o, domain: Domain, rng) -> CosetSupport:
     """One superposed query + label measurement: costs exactly one query.
 
     The first call per (oracle, domain) runs the level-set scan: one array
-    pass of the embed and the label function over the whole domain, counted
+    pass of the embedding and the label function over the whole domain, counted
     as |domain| simulation evaluations. Later calls reuse the cached scan.
     """
     if math.prod(domain.dims) > COSET_GUARD:
@@ -289,14 +258,14 @@ def coset_sample(o, domain: Domain, rng) -> CosetSupport:
     view = _domain_view(o, domain)
     base = tuple(rng.randrange(n) for n in domain.dims)
     o.charge_superposition_query()
-    return CosetSupport(dims=domain.dims, base=base, gens=view.k_gens, labels=view.labels)
+    return CosetSupport(domain.dims, base, view.k_gens, view.ann, view.labels)
 
 
 def _level_sets(view: _DomainView, dims: Register) -> list[CosetSupport]:
     """One support per level set, ordered by least point."""
     _, firsts = np.unique(view.labels, return_index=True)
     return [
-        CosetSupport(dims=dims, base=_point(f, dims), gens=view.k_gens, labels=view.labels)
+        CosetSupport(dims, _point(f, dims), view.k_gens, view.ann, view.labels)
         for f in np.sort(firsts)
     ]
 
@@ -367,10 +336,9 @@ def fourier_sample(s: CosetSupport, dims, rng) -> Register:
     dims = tuple(dims)
     if dims != s.dims:
         raise DimensionMismatch(f"support dims {s.dims} vs requested {dims}")
-    ann = dual_kernel(dims, s.gens)
     L = math.lcm(*dims)
     c = _zero(dims)
-    for g in ann:
+    for g in s.ann:
         c = _add(c, _scale(rng.randrange(L), g, dims), dims)
     return c
 
@@ -439,13 +407,13 @@ def _probe_embedding(o, domain: Domain) -> None:
     Holds both for genuine abelian subgroup embeddings and for sections of
     the abelianization quotient (where f factors through the quotient).
     """
-    dims = domain.dims
+    gp, dims = o.group, domain.dims
     e0 = tuple(1 if j == 0 else 0 for j in range(len(dims)))
     elast = tuple(1 if j == len(dims) - 1 else 0 for j in range(len(dims)))
     ones = (1,) * len(dims)
     for u, w in ((e0, e0), (e0, elast), (ones, ones)):
-        lhs = o._sim_eval(gr.mul(o.group, domain.embed(u), domain.embed(w)))
-        rhs = o._sim_eval(domain.embed(_add(u, w, dims)))
+        lhs = o._sim_eval(gr.mul(gp, domain.embed(gp, u), domain.embed(gp, w)))
+        rhs = o._sim_eval(domain.embed(gp, _add(u, w, dims)))
         if lhs != rhs:
             raise PreconditionViolated(
                 f"domain {domain.name!r}: embedding incompatible with the hiding function"
@@ -453,8 +421,7 @@ def _probe_embedding(o, domain: Domain) -> None:
 
 
 def abelian_hsp(
-    dims,
-    embed: Callable[[Register], gr.Element],
+    domain: Domain,
     o,
     rng,
     kappa: int = KAPPA,
@@ -468,8 +435,7 @@ def abelian_hsp(
     The kernel always contains the hidden register subgroup K; it equals K
     iff every generator passes verification, so a wrong answer is impossible.
     """
-    dims = tuple(dims)
-    domain = Domain(dims, embed, name="abelian-hsp")
+    dims = domain.dims
     _probe_embedding(o, domain)
     n_samples = (math.prod(dims) - 1).bit_length() + kappa
     zero = _zero(dims)
@@ -483,7 +449,7 @@ def abelian_hsp(
             s = coset_sample(o, domain, rng)
             chars.append(fourier_sample(s, dims, rng))
         gens = dual_kernel(dims, chars)
-        reference = o.query(domain.embed(zero))
-        if all(o.query(domain.embed(g)) == reference for g in gens):
+        reference = o.query(domain.embed(o.group, zero))
+        if all(o.query(domain.embed(o.group, g)) == reference for g in gens):
             return [tuple(g) for g in gens]
     raise RetriesExhausted(f"abelian recovery failed after {retries} attempts")

@@ -40,8 +40,10 @@ def find_m_n(o, rng, stats: dict | None = None) -> tuple[int, int]:
     (m, n) with H meet <x> = <x^(p^m)> and H meet <y> = <y^(p^n)>.
     """
     gp = o.group
-    x_gens = qsim.abelian_hsp((gp.x_mod,), lambda pt: (pt[0] % gp.x_mod, 0), o, rng, stats=stats)
-    y_gens = qsim.abelian_hsp((gp.y_mod,), lambda pt: (0, pt[0] % gp.y_mod), o, rng, stats=stats)
+    x_axis = qsim.Domain((gp.x_mod,), ((1, 0),), name="x-axis")
+    y_axis = qsim.Domain((gp.y_mod,), ((0, 1),), name="y-axis")
+    x_gens = qsim.abelian_hsp(x_axis, o, rng, stats=stats)
+    y_gens = qsim.abelian_hsp(y_axis, o, rng, stats=stats)
     gx = math.gcd(gp.x_mod, *(v[0] for v in x_gens))
     gy = math.gcd(gp.y_mod, *(v[0] for v in y_gens))
     m, _ = nt.p_valuation(gx, gp.p)
@@ -74,99 +76,45 @@ def recover_t(a: int, b: int, modulus: int) -> int | None:
     return (-nt.mod_inv(a, modulus) * b) % modulus
 
 
-def _constraint_routine(o, dims, embed, t_modulus, candidates, fallback, rng, stats, name):
-    """Shared loop for the small-depth branches.
+def _constraint_routine(o, m, n, rng, stats):
+    """Shared loop for the small-depth class1 branches.
+
+    Cyclic (n == 2, m in {1, 2, 3}): register Z_(p^m) x Z_(p^2) on
+    (u, v) -> (u, v); H is <g> for a candidate g, else <x^(p^m)>.
+    Noncyclic (n == 1, m in {1, 2}): register Z_p x Z_p on
+    (u, v) -> (p^(m-1) u, v); H is <g, x^(p^m)>, else <x^(p^m), y^p>.
 
     Samples one character per attempt until its first coordinate is a unit,
-    recovers the candidate parameter t, and checks each candidate generator
-    with a real oracle query. A unit sample pins t exactly, so if no
-    candidate verifies the hidden subgroup must be the pure-x fallback.
+    which pins t mod p^min(m, n), and checks the candidates
+    g_k = ((t mod p^k) p^(m-k), p^(n-k)), k = min(m, n) down to 1, with real
+    oracle queries in that order. A unit sample pins t exactly, so if no
+    candidate verifies the hidden subgroup must be the fallback.
     """
-    domain = qsim.Domain(tuple(dims), embed, name=name)
+    gp = o.group
+    p, x_mod = gp.p, gp.x_mod
+    cyclic = n == 2
+    name = f"{'cyclic' if cyclic else 'noncyclic'}-m{m}"
+    x_dim, x_step = (p**m, 1) if cyclic else (p, p ** (m - 1))
+    domain = qsim.Domain((x_dim, p**n), ((x_step, 0), (0, 1)), name=name)
+    pure_x = (p**m % x_mod, 0)
+    extra, fallback = ([], [pure_x]) if cyclic else ([pure_x], [pure_x, (0, p)])
+    top = min(m, n)
     reference = o.query(gr.IDENTITY)
     for attempt in range(1, qsim.RETRIES + 1):
         _bump(stats, attempt)
         s = qsim.coset_sample(o, domain, rng)
         c_a, c_b = qsim.fourier_sample(s, domain.dims, rng)
-        t1 = recover_t(c_a, c_b, t_modulus)
+        t1 = recover_t(c_a, c_b, p**top)
         if t1 is None:
             continue
-        for probe, gens in candidates(t1):
-            if o.query(probe) == reference:
-                return gens
-        return fallback
+        for k in range(top, 0, -1):
+            g = (t1 % p**k * p ** (m - k) % x_mod, p ** (n - k))
+            if o.query(g) == reference:
+                return sg.canonicalize(gp, [g, *extra])
+        return sg.canonicalize(gp, fallback)
     raise RetriesExhausted(
         f"{name}: no unit character sample in {qsim.RETRIES} attempts"
     )
-
-
-def _cyclic_small_m(o, m, rng, stats):
-    """Cyclic branch for m in {1, 2, 3}: one mixed generator or pure x."""
-    gp = o.group
-    p, x_mod = gp.p, gp.x_mod
-    if m == 1:
-        dims = (p, p * p)
-        t_modulus = p
-
-        def candidates(t1):
-            g = (t1 % x_mod, p)
-            return [(g, [g])]
-
-        fallback = [(p % x_mod, 0)]
-    elif m == 2:
-        dims = (p * p, p * p)
-        t_modulus = p * p
-
-        def candidates(t1):
-            g1 = (t1 % x_mod, 1)
-            g2 = ((t1 % p) * p % x_mod, p)
-            return [(g1, [g1]), (g2, [g2])]
-
-        fallback = [(p * p % x_mod, 0)]
-    else:
-        dims = (p ** 3, p * p)
-        t_modulus = p * p
-
-        def candidates(t1):
-            g1 = (t1 * p % x_mod, 1)
-            g2 = ((t1 % p) * p * p % x_mod, p)
-            return [(g1, [g1]), (g2, [g2])]
-
-        fallback = [(p ** 3 % x_mod, 0)]
-
-    gens = _constraint_routine(
-        o, dims, lambda pt: (pt[0] % x_mod, pt[1]), t_modulus,
-        candidates, fallback, rng, stats, f"cyclic-m{m}",
-    )
-    return sg.canonicalize(gp, gens)
-
-
-def _noncyclic_small_m(o, m, rng, stats):
-    """Noncyclic branch for m in {1, 2} with n == 1: a p x p register grid."""
-    gp = o.group
-    p, x_mod = gp.p, gp.x_mod
-    if m == 1:
-        embed = lambda pt: (pt[0] % x_mod, pt[1])
-
-        def candidates(t1):
-            g = (t1 % x_mod, 1)
-            return [(g, [g, (p % x_mod, 0)])]
-
-        fallback = [(p % x_mod, 0), (0, p)]
-    else:
-        embed = lambda pt: (p * pt[0] % x_mod, pt[1])
-
-        def candidates(t1):
-            g = (t1 * p % x_mod, 1)
-            return [(g, [g, (p * p % x_mod, 0)])]
-
-        fallback = [(p * p % x_mod, 0), (0, p)]
-
-    gens = _constraint_routine(
-        o, (p, p), embed, p, candidates, fallback, rng, stats,
-        f"noncyclic-m{m}",
-    )
-    return sg.canonicalize(gp, gens)
 
 
 def _abelian_route(o, m, scale_exp, rng, stats):
@@ -179,10 +127,11 @@ def _abelian_route(o, m, scale_exp, rng, stats):
     """
     gp = o.group
     scale = gp.p ** scale_exp
-    dims = (gp.x_mod // scale, gp.y_mod)
-    embed = lambda pt: (scale * pt[0] % gp.x_mod, pt[1])
-    gens = qsim.abelian_hsp(dims, embed, o, rng, stats=stats)
-    lifted = [embed(g) for g in gens]
+    domain = qsim.Domain(
+        (gp.x_mod // scale, gp.y_mod), ((scale, 0), (0, 1)), name="abelian-route"
+    )
+    gens = qsim.abelian_hsp(domain, o, rng, stats=stats)
+    lifted = [domain.embed(gp, g) for g in gens]
     lifted.append((gp.p ** m % gp.x_mod, 0))
     return sg.canonicalize(gp, lifted)
 
@@ -198,10 +147,9 @@ def solve_via_abelianization(o, rng, stats: dict | None = None):
     gp = o.group
     c = gr.commutator_depth(gp)
     q = gp.p ** (gp.r - c)
-    gens = qsim.abelian_hsp(
-        (q, gp.y_mod), lambda pt: (pt[0] % gp.x_mod, pt[1]), o, rng, stats=stats
-    )
-    lifted = [(u % gp.x_mod, v) for u, v in gens]
+    section = qsim.Domain((q, gp.y_mod), ((1, 0), (0, 1)), name="abelianization")
+    gens = qsim.abelian_hsp(section, o, rng, stats=stats)
+    lifted = [section.embed(gp, g) for g in gens]
     lifted.append((q % gp.x_mod, 0))
     return sg.canonicalize(gp, lifted)
 
@@ -209,7 +157,7 @@ def solve_via_abelianization(o, rng, stats: dict | None = None):
 def solve_cyclic_class1(o, m, n, rng, stats: dict | None = None):
     """Cyclic hidden subgroup in a class1 group."""
     if m in (1, 2, 3):
-        return _cyclic_small_m(o, m, rng, stats)
+        return _constraint_routine(o, m, n, rng, stats)
     # m == 0 (H contains the whole x axis) or m >= 4: the x part is deep
     # enough that H meet <x^(p^2), y> plus x^(p^m) generates H.
     return _abelian_route(o, m, 2, rng, stats)
@@ -225,7 +173,7 @@ def solve_noncyclic_class1(o, m, n, rng, stats: dict | None = None):
         return sg.canonicalize(gp, [(1, 0), (0, p)])
     if m >= 3:
         return _abelian_route(o, m, 2, rng, stats)
-    return _noncyclic_small_m(o, m, rng, stats)
+    return _constraint_routine(o, m, n, rng, stats)
 
 
 def solve_class2(o, m, n, rng, stats: dict | None = None):
@@ -310,9 +258,8 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
             raise PreconditionViolated(
                 "abelianization strategy is undefined for an abelian group"
             )
-        gens = qsim.abelian_hsp(
-            (gp.x_mod, gp.y_mod), lambda pt: (pt[0], pt[1]), o, rng, stats=stats
-        )
+        whole = qsim.Domain((gp.x_mod, gp.y_mod), ((1, 0), (0, 1)), name="abelian")
+        gens = qsim.abelian_hsp(whole, o, rng, stats=stats)
         recovered = sg.canonicalize(gp, list(gens))
         strategy_used = STRATEGY_ABELIAN_ONLY
         branch = "abelian/direct-product"

@@ -87,6 +87,8 @@ def descriptor_from_json(blob: dict) -> Descriptor:
     missing = allowed - set(blob)
     if extra or missing:
         raise InvalidDescriptor(f"wrong fields for {form}: {blob!r}")
+    if any(type(blob[k]) is not int for k in {"i"} | allowed):
+        raise InvalidDescriptor(f"descriptor fields must be integers: {blob!r}")
     return Descriptor(form, blob["i"], t=blob.get("t"), j=blob.get("j"))
 
 
@@ -318,20 +320,6 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
         raise TooLarge("commutator pair set too large")
     total = np.unique((left[:, None] + right[None, :]) % gp.x_mod)
     return frozenset((int(v), 0) for v in total)
-
-
-def intersect_with_axis(gp: gr.GroupParams, subgroup: SubgroupSet, axis: str) -> int:
-    """Valuation of the intersection with <x> (returns m) or <y> (returns n)."""
-    if axis == "x":
-        g = reduce(math.gcd, (a for a, b in subgroup if b == 0), gp.x_mod)
-        v, u = nt.p_valuation(g, gp.p)
-    elif axis == "y":
-        g = reduce(math.gcd, (b for a, b in subgroup if a == 0), gp.y_mod)
-        v, u = nt.p_valuation(g, gp.p)
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    assert u <= 1, "axis intersection must be a p-power cyclic group"
-    return v
 
 
 # ------------------------------------------------------------ brute force

@@ -69,7 +69,7 @@ def test_acceptance_3_unit_character_frequency(acceptance_log):
     for p, r, expect in ((3, 5, 2 / 3), (5, 5, 4 / 5)):
         gp = gr.make_group(p, r, 1)
         o = orc.make_oracle(gp, sg.sg1m(1, 0, 1))  # x depth m = 1
-        domain = qsim.Domain((p, p * p), lambda pt: (pt[0] % gp.x_mod, pt[1]))
+        domain = qsim.Domain((p, p * p), ((1, 0), (0, 1)))
         rng = random.Random(p)
         n = 4000
         hits = 0
@@ -107,23 +107,23 @@ def test_acceptance_4_no_retry_rate(acceptance_log):
 def test_acceptance_5_structured_vs_dense(acceptance_log):
     p = 3
     cases = [
-        # (group, hidden descriptor, dims, embed) mirroring every solver branch domain
-        (G351, sg.sg1m(1, 0, 1), (3, 9), lambda pt: (pt[0], pt[1])),          # cyclic m=1
-        (G351, sg.sg1m(1, 0, 0), (9, 9), lambda pt: (pt[0], pt[1])),          # cyclic m=2
-        (G351, sg.sg1m(1, 1, 0), (27, 9), lambda pt: (pt[0], pt[1])),         # cyclic m=3
-        (G351, sg.sg3(1, 0), (3, 3), lambda pt: (pt[0], pt[1])),              # noncyclic m=1
-        (G351, sg.sg3(1, 1), (3, 3), lambda pt: (3 * pt[0] % 243, pt[1])),    # noncyclic m=2
-        (G351, sg.sg1x(4), (27, 9), lambda pt: (9 * pt[0] % 243, pt[1])),     # class1 abelian route
-        (G353, sg.sg2(3, 1), (81, 9), lambda pt: (3 * pt[0] % 243, pt[1])),   # class2 abelian route
-        (G351, sg.sg1x(1), (27, 9), lambda pt: (pt[0], pt[1])),               # class1 abelianization
-        (G353, sg.sg3(1, 0), (81, 9), lambda pt: (pt[0], pt[1])),             # class2 abelianization
-        (G351, sg.sg1m(2, 0, 1), (243,), lambda pt: (pt[0], 0)),              # x axis measurement
-        (G351, sg.sg1m(2, 0, 1), (9,), lambda pt: (0, pt[0])),                # y axis measurement
+        # (group, hidden descriptor, dims, axes) mirroring every solver branch domain
+        (G351, sg.sg1m(1, 0, 1), (3, 9), ((1, 0), (0, 1))),     # cyclic m=1
+        (G351, sg.sg1m(1, 0, 0), (9, 9), ((1, 0), (0, 1))),     # cyclic m=2
+        (G351, sg.sg1m(1, 1, 0), (27, 9), ((1, 0), (0, 1))),    # cyclic m=3
+        (G351, sg.sg3(1, 0), (3, 3), ((1, 0), (0, 1))),         # noncyclic m=1
+        (G351, sg.sg3(1, 1), (3, 3), ((3, 0), (0, 1))),         # noncyclic m=2
+        (G351, sg.sg1x(4), (27, 9), ((9, 0), (0, 1))),          # class1 abelian route
+        (G353, sg.sg2(3, 1), (81, 9), ((3, 0), (0, 1))),        # class2 abelian route
+        (G351, sg.sg1x(1), (27, 9), ((1, 0), (0, 1))),          # class1 abelianization
+        (G353, sg.sg3(1, 0), (81, 9), ((1, 0), (0, 1))),        # class2 abelianization
+        (G351, sg.sg1m(2, 0, 1), (243,), ((1, 0),)),            # x axis measurement
+        (G351, sg.sg1m(2, 0, 1), (9,), ((0, 1),)),              # y axis measurement
     ]
     worst = 0.0
-    for gp, d, dims, embed in cases:
+    for gp, d, dims, axes in cases:
         o = orc.make_oracle(gp, d)
-        domain = qsim.Domain(dims, embed)
+        domain = qsim.Domain(dims, axes)
         exact = qsim.branch_mixture_distribution(o, domain)
         dense = qsim.dense_reference_distribution(o, domain)
         worst = max(worst, qsim.total_variation(exact, dense))

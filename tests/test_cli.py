@@ -121,6 +121,26 @@ def test_solve_bad_descriptor_exit_2(capsys):
     assert code == 2
 
 
+def test_solve_non_integer_descriptor_field_exit_2(capsys):
+    for blob in (
+        '{"form":"sg1x","i":"3"}',
+        '{"form":"sg1x","i":2.5}',
+        '{"form":"sg1x","i":true}',
+        '{"form":"sg3","t":"1","i":0}',
+    ):
+        argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", "--subgroup", blob]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), blob
+        assert "integers" in err
+
+
+def test_solve_rejects_boolean_generator_exit_2(capsys):
+    argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", "--generators", "[[true,0]]"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "bad generator" in err
+
+
 def test_solve_composite(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -174,6 +194,14 @@ def test_sweep_is_deterministic_and_parallel_agrees(capsys, monkeypatch):
     monkeypatch.setenv("HSP_SDP_THREADS", "4")
     out2 = run_cli(capsys, argv)[1]
     assert out1 == out2
+
+
+def test_sweep_rejects_non_positive_trials_exit_2(capsys):
+    for trials in ("0", "-2"):
+        argv = ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", trials]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), trials
+        assert "--trials" in err
 
 
 # ------------------------------------------------------------ verify-catalog

@@ -7,6 +7,8 @@ from hsp_sdp import group as gr
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import AbelianGroup, InvalidDescriptor, TooLarge
 
+from helpers import intersect_with_axis
+
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
 
@@ -77,7 +79,7 @@ def test_elements_order_formula():
     # |H| = |y-projection| * p^(r-m)
     for d in sg.enumerate_catalog(G351):
         elems = sg.elements(G351, d)
-        m = sg.intersect_with_axis(G351, elems, "x")
+        m = intersect_with_axis(G351, elems, "x")
         b_proj = {b for _, b in elems}
         assert len(elems) == len(b_proj) * 3 ** (5 - m)
 
@@ -190,19 +192,19 @@ def test_brute_force_commutator_matches():
 
 def test_intersect_with_axis_frozen_values():
     whole = sg.elements(G351, sg.sg2(0, 0))
-    assert sg.intersect_with_axis(G351, whole, "x") == 0
-    assert sg.intersect_with_axis(G351, whole, "y") == 0
+    assert intersect_with_axis(G351, whole, "x") == 0
+    assert intersect_with_axis(G351, whole, "y") == 0
     trivial = frozenset({(0, 0)})
-    assert sg.intersect_with_axis(G351, trivial, "x") == 5
-    assert sg.intersect_with_axis(G351, trivial, "y") == 2
+    assert intersect_with_axis(G351, trivial, "x") == 5
+    assert intersect_with_axis(G351, trivial, "y") == 2
     mixed = sg.elements(G351, sg.sg1m(1, 0, 1))  # <x y^3>
-    assert sg.intersect_with_axis(G351, mixed, "x") == 1
-    assert sg.intersect_with_axis(G351, mixed, "y") == 2
+    assert intersect_with_axis(G351, mixed, "x") == 1
+    assert intersect_with_axis(G351, mixed, "y") == 2
 
 
 def test_intersect_with_axis_rejects_bad_axis():
     with pytest.raises(ValueError):
-        sg.intersect_with_axis(G351, frozenset({(0, 0)}), "z")
+        intersect_with_axis(G351, frozenset({(0, 0)}), "z")
 
 
 # ---------------------------------------------------------------- normal form
