@@ -216,10 +216,22 @@ def _cmd_verify_catalog(args) -> int:
         print(f"catalog matches brute-force lattice: {len(catalog)} subgroups")
 
     try:
-        depth = gr.commutator_depth(gp)
+        derived = sg.commutator_subgroup(gp)
     except AbelianGroup:
-        depth = 0
-    comm_gen = (gp.p ** (gp.r - depth) % gp.x_mod, 0)
+        derived = sg.sg1x(gp.r)  # the trivial group
+    claimed = sg.elements(gp, derived)
+    commutators = sg.brute_force_commutator(gp)
+    tag = _compact(sg.descriptor_to_json(derived))
+    if claimed == commutators:
+        print(f"derived subgroup {tag} equals brute-force commutators: OK")
+    else:
+        ok = False
+        print(
+            f"derived subgroup {tag} equals brute-force commutators: FAIL "
+            f"(order {len(claimed)}, commutator set of {len(commutators)})"
+        )
+
+    comm_gen = sg.generators(gp, derived)[0]
     for d in _normality_claims(catalog):
         normal = sg.is_normal(gp, d)
         contains = sg.table_for(gp, d).contains(comm_gen)

@@ -20,7 +20,6 @@ membership exact without materializing element sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -312,13 +311,22 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
+    x_mod = gp.x_mod
+
+    def residues(values) -> np.ndarray:
+        # sorted distinct values mod x_mod; a mask, because the first
+        # np.unique call in a process costs about 1.5 MB of resident memory
+        seen = np.zeros(x_mod, dtype=bool)
+        seen[values % x_mod] = True
+        return np.flatnonzero(seen)
+
     apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
-    a_range = np.arange(gp.x_mod, dtype=np.int64)
-    left = np.unique(a_range[:, None] * ((1 - apow) % gp.x_mod)[None, :] % gp.x_mod)
-    right = np.unique(a_range[:, None] * ((apow - 1) % gp.x_mod)[None, :] % gp.x_mod)
+    a_range = np.arange(x_mod, dtype=np.int64)
+    left = residues(a_range[:, None] * ((1 - apow) % x_mod)[None, :])
+    right = residues(a_range[:, None] * ((apow - 1) % x_mod)[None, :])
     if left.size * right.size > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
-    total = np.unique((left[:, None] + right[None, :]) % gp.x_mod)
+    total = residues(left[:, None] + right[None, :])
     return frozenset((int(v), 0) for v in total)
 
 
@@ -343,36 +351,68 @@ def _mulclose(gp: gr.SemidirectGroup, gens) -> frozenset:
 
 
 def brute_force_lattice(gp: gr.GroupParams) -> list[SubgroupSet]:
-    """Every subgroup of G: cyclic subgroups, then pairwise joins to fixpoint."""
+    """Every subgroup of G: cyclic subgroups, then pairwise joins to fixpoint.
+
+    A reference independent of the catalog: it uses the group law only
+    (alpha powers, multiplication), never descriptors, normal-form tables or
+    structural facts such as a bound on the number of generators.
+
+    Subgroups are int bitsets over the element index a*y_mod + b, so a
+    subset test is ``A & B == A`` and an order is a popcount.
+
+    Cyclic subgroups: walking <g> lists g^k for k = 1..ord(g); every g^k with
+    gcd(k, ord(g)) = 1 generates the same <g>, so those elements are skipped
+    as later starting points, and every remaining element gives a new one.
+
+    Joins use the product formula. For subgroups A and B the set AB has
+    exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
+    K already found contains A u B and has exactly that order, then
+    AB <= <A, B> <= K with |AB| = |K|, so <A, B> = K and no closure is
+    needed. Any other incomparable pair is closed under multiplication.
+    """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
 
-    subs: dict[frozenset, tuple] = {}
-    for g in itertools.product(range(x_mod), range(y_mod)):
-        cyc = {gr.IDENTITY}
-        cur = g
-        while cur != gr.IDENTITY:
-            cyc.add(cur)
-            a1, b1 = cur
-            cur = ((a1 + g[0] * apow[b1]) % x_mod, (b1 + g[1]) % y_mod)
-        fs = frozenset(cyc)
-        if fs not in subs:
-            subs[fs] = (g,)
+    subs: dict[int, tuple[frozenset, tuple]] = {}  # bitset -> (elements, gens)
+    found: list[int] = []  # bitsets in discovery order
+    by_order: dict[int, list[int]] = {}
 
-    sets = list(subs.items())
-    idx = 0
-    known = set(subs)
-    while idx < len(sets):
-        fs_a, gens_a = sets[idx]
-        for jdx in range(idx):
-            fs_b, gens_b = sets[jdx]
-            if fs_a <= fs_b or fs_b <= fs_a:
+    def add(elems: frozenset, gens: tuple) -> None:
+        bits = 0
+        for a, b in elems:
+            bits |= 1 << (a * y_mod + b)
+        if bits not in subs:
+            subs[bits] = (elems, gens)
+            found.append(bits)
+            by_order.setdefault(len(elems), []).append(bits)
+
+    covered = bytearray(gp.order)
+    for idx in range(gp.order):
+        if covered[idx]:
+            continue
+        g = divmod(idx, y_mod)
+        powers = [g]
+        while powers[-1] != gr.IDENTITY:
+            a1, b1 = powers[-1]
+            powers.append(((a1 + g[0] * apow[b1]) % x_mod, (b1 + g[1]) % y_mod))
+        n = len(powers)
+        for k, (a, b) in enumerate(powers, 1):
+            if math.gcd(k, n) == 1:
+                covered[a * y_mod + b] = 1
+        add(frozenset(powers), (g,))
+
+    # found grows while it is walked, so joins of new members are tried too
+    for idx, bits_a in enumerate(found):
+        for bits_b in found[:idx]:
+            meet = bits_a & bits_b
+            if meet == bits_a or meet == bits_b:
                 continue
-            joined = _mulclose(gp, gens_a + gens_b)
-            if joined not in known:
-                known.add(joined)
-                sets.append((joined, gens_a + gens_b))
-        idx += 1
-    return sorted((fs for fs, _ in sets), key=lambda s: (len(s), sorted(s)))
+            union = bits_a | bits_b
+            order = bits_a.bit_count() * bits_b.bit_count() // meet.bit_count()
+            if any(k & union == union for k in by_order.get(order, ())):
+                continue  # <A, B> = AB is already in the lattice
+            gens = subs[bits_a][1] + subs[bits_b][1]
+            add(_mulclose(gp, gens), gens)
+    return sorted((fs for fs, _ in subs.values()), key=lambda s: (len(s), sorted(s)))

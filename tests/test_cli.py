@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from hsp_sdp import cli
+from hsp_sdp import subgroup as sg
 
 
 def run_cli(capsys, argv):
@@ -210,6 +211,16 @@ def test_verify_catalog_passes_for_reference_groups(capsys):
     code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
     assert code == 0
     assert "PASS" in out
+    assert 'derived subgroup {"form":"sg1x","i":3} equals brute-force commutators: OK' in out
+
+
+def test_verify_catalog_fails_on_missing_subgroup(capsys, monkeypatch):
+    full = sg.enumerate_catalog
+    monkeypatch.setattr(sg, "enumerate_catalog", lambda gp: full(gp)[:-1])
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    assert "catalog mismatch: 1 missing, 0 extra" in out.splitlines()
+    assert out.rstrip().endswith("verify-catalog: FAIL")
 
 
 def test_verify_catalog_small_r_exit_2(capsys):

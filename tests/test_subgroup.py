@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from hsp_sdp import group as gr
@@ -133,12 +135,43 @@ def test_canonicalize_random_generating_sets():
             assert sg.elements(gp, d) == mulclose(gp, gens)
 
 
-@pytest.mark.parametrize("p,r,tau", [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1)])
+@pytest.mark.parametrize(
+    "p,r,tau",
+    [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5)],
+)
 def test_catalog_equals_brute_force_lattice_small(p, r, tau):
     gp = gr.make_group(p, r, tau, allow_unclassified=True)
     lattice = sg.brute_force_lattice(gp)
     catalog_sets = {sg.elements(gp, d) for d in sg.enumerate_catalog(gp)}
     assert catalog_sets == set(lattice)
+
+
+def _generating_set(gp, elems):
+    """A few elements whose closure is the subgroup elems."""
+    gens, span = [], frozenset({gr.IDENTITY})
+    for g in sorted(elems):
+        if g not in span:
+            gens.append(g)
+            span = mulclose(gp, gens)
+    assert span == elems
+    return gens
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_brute_force_lattice_against_definition(tau):
+    # every cyclic subgroup, closure of every member and of every pair
+    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    lattice = sg.brute_force_lattice(gp)
+    members = set(lattice)
+    assert len(members) == len(lattice)
+    for g in itertools.product(range(gp.x_mod), range(gp.y_mod)):
+        assert mulclose(gp, [g]) in members
+    for s in lattice:
+        assert all(gr.mul(gp, a, b) in s for a in s for b in s)
+    gens = [_generating_set(gp, s) for s in lattice]
+    for ga, gb in itertools.combinations(gens, 2):
+        # <A u B> = <gens(A) u gens(B)>
+        assert mulclose(gp, ga + gb) in members
 
 
 def test_brute_force_lattice_guard():
@@ -158,18 +191,38 @@ def test_is_normal_frozen_values():
     assert not sg.is_normal(G351, sg.sg1m(1, 5, 0))
 
 
-def test_is_normal_matches_exhaustive_conjugation():
-    import itertools
+def _closed_under_conjugation(gp, elems):
+    """g h g^-1 in elems for every g in G and h in elems, by numpy over all pairs."""
+    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
+    x_mod, y_mod = gp.x_mod, gp.y_mod
 
-    whole = list(itertools.product(range(243), range(9)))
+    def mul(a1, b1, a2, b2):
+        return (a1 + a2 * apow[b1]) % x_mod, (b1 + b2) % y_mod
+
+    h = sorted(elems)
+    ha, hb = np.array(h, dtype=np.int64).T
+    member = np.zeros(gp.order, dtype=bool)
+    member[ha * y_mod + hb] = True
+    ga = np.arange(x_mod, dtype=np.int64)[:, None]
+    closed = True
+    for b in range(y_mod):  # one row of G per x-value, one column per h
+        gb = np.full_like(ga, b)
+        ca, cb = mul(*mul(ga, gb, ha, hb), -ga * apow[-b % y_mod] % x_mod, -gb % y_mod)
+        for j in range(min(3, len(h))):  # the arrays follow the scalar group law
+            assert all(
+                (ca[a, j], cb[a, j]) == gr.conjugate(gp, h[j], (a, b)) for a in range(x_mod)
+            )
+        closed &= bool(member[ca * y_mod + cb].all())
+    return closed
+
+
+def test_is_normal_matches_exhaustive_conjugation():
     rng = random.Random(11)
     for gp in (G351, G353):
         cat = sg.enumerate_catalog(gp)
         for d in rng.sample(cat, 12):
             elems = sg.elements(gp, d)
-            exhaustive = all(
-                gr.conjugate(gp, h, g) in elems for g in whole for h in elems
-            )
+            exhaustive = _closed_under_conjugation(gp, elems)
             assert sg.is_normal(gp, d) == exhaustive
 
 
@@ -222,7 +275,5 @@ def test_subgroup_table_is_complete_invariant():
 def test_subgroup_table_membership():
     t = sg.SubgroupTable.from_generators(G351, [(2, 1), (3, 0)])
     elems = t.elements()
-    import itertools
-
     for g in itertools.product(range(243), range(9)):
         assert t.contains(g) == (g in elems)
