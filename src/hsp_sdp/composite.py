@@ -9,12 +9,14 @@ hidden subgroup is recovered one factor at a time and recombined by CRT.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
 
 from . import group as gr
 from . import numtheory as nt
+from . import oracle as orc
 from . import qsim
 from . import solver
 from . import subgroup as sg
@@ -120,50 +122,28 @@ def decompose(cp: CompositeParams) -> FactorDecomposition:
     )
 
 
-class FactorOracle:
+class FactorOracle(orc.HidingOracle):
     """View of a composite-parent oracle restricted to its p-part factor.
 
     Embeds factor elements into the parent through the CRT unit (a group
-    homomorphism, because the unit is 0 mod every other slot) and mirrors
-    every query and simulation charge to the parent's meters. Duck-types
-    HidingOracle closely enough for the solver and the simulator.
+    homomorphism, because the unit is 0 mod every other slot) and charges
+    every query and simulation evaluation to the parent's meter, which it
+    shares. Its labels come from the parent's label functions, so it skips
+    HidingOracle.__init__, which builds them from the hidden subgroup.
     """
 
     def __init__(self, parent, semidirect: gr.GroupParams, crt_unit: int):
         self._parent = parent
         self.group = semidirect
         self._unit = crt_unit
-        self.query_count = 0
-        self.simulation_cost = 0
+        self.meter = parent.meter
         self._domain_views: dict = {}
 
-    def _embed(self, g: gr.Element) -> gr.Element:
-        return (g[0] * self._unit % self._parent.group.x_mod, g[1])
-
     def _label(self, g: gr.Element):
-        return self._parent._label(self._embed(g))
-
-    def query(self, g: gr.Element):
-        self.query_count += 1
-        self._parent.query_count += 1
-        return self._label(g)
-
-    def charge_superposition_query(self) -> None:
-        self.query_count += 1
-        self._parent.query_count += 1
-
-    def _sim_eval(self, g: gr.Element):
-        self.simulation_cost += 1
-        self._parent.simulation_cost += 1
-        return self._label(g)
+        return self._parent._label((g[0] * self._unit % self._parent.group.x_mod, g[1]))
 
     def _label_array(self, a, b):
         return self._parent._label_array(a * self._unit % self._parent.group.x_mod, b)
-
-    def _sim_eval_array(self, a, b):
-        self.simulation_cost += len(a)
-        self._parent.simulation_cost += len(a)
-        return self._label_array(a, b)
 
 
 @dataclass(frozen=True)
@@ -209,15 +189,13 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
     """
     dec = decompose(cp)
     rng = random.Random(seed)
-    queries_before = o.query_count
-    sims_before = o.simulation_cost
-    stats: dict = {"iterations": 0, "retries": 0}
+    before = copy.copy(o.meter)
 
     lifted: list[gr.Element] = []
     vals = []
     for fac in dec.abelian:
         slot = qsim.Domain((fac.modulus,), ((fac.crt_unit, 0),), name=f"crt-{fac.prime}")
-        gens = qsim.abelian_hsp(slot, o, rng, stats=stats)
+        gens = qsim.abelian_hsp(slot, o, rng)
         g = math.gcd(fac.modulus, *(u for (u,) in gens))
         v, _ = nt.p_valuation(g, fac.prime)
         vals.append((fac.prime, int(v)))
@@ -236,6 +214,7 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
                 f"combined generator {g} is not in the hidden subgroup"
             )
     table = sg.SubgroupTable.from_generators(dec.parent, lifted)
+    spent = o.meter - before
 
     return CompositeSolveResult(
         params=cp,
@@ -243,9 +222,9 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
         abelian_valuations=tuple(vals),
         generators=tuple(lifted),
         subgroup_order=table.order,
-        oracle_queries=o.query_count - queries_before,
-        simulation_cost=o.simulation_cost - sims_before,
-        iterations=stats["iterations"] + rep.iterations,
+        oracle_queries=spent.queries,
+        simulation_cost=spent.sim_evals,
+        iterations=spent.iterations,
         seed=seed,
         verified=True,
     )

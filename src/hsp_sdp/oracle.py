@@ -5,15 +5,18 @@ labels satisfying f(g1) == f(g2) iff g1^-1 g2 in H (left cosets). The label
 for g is the lexicographically least element of g*H in a-major order, packed
 as a*p^2 + b; solvers must treat labels as equality-only tokens.
 
-Accounting: query() and charge_superposition_query() bump query_count by one
-each; _sim_eval() bumps simulation_cost instead (simulator-side work such as
-domain scans, never visible to the algorithm being costed), and
-_sim_eval_array() bumps it by the number of elements it labels.
+Accounting: every oracle owns one Meter, and every cost a report gives is a
+difference of two readings of it. query() and charge_superposition_query()
+count one query each; _sim_eval() counts one simulation evaluation instead
+(simulator-side work such as domain scans, never visible to the algorithm
+being costed), and _sim_eval_array() one per element it labels. Las Vegas
+loops call meter.attempt(k) once per attempt.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,6 +45,26 @@ class Label:
         return f"Label({self._packed})"
 
 
+@dataclass
+class Meter:
+    """Costs charged to one oracle: queries, simulation evaluations, and the
+    Las Vegas attempts and retries of the routines that ran on it."""
+
+    queries: int = 0
+    sim_evals: int = 0
+    iterations: int = 0
+    retries: int = 0
+
+    def attempt(self, k: int) -> None:
+        """Count attempt number k (from 1); every attempt after the first is a retry."""
+        self.iterations += 1
+        if k > 1:
+            self.retries += 1
+
+    def __sub__(self, before: "Meter") -> "Meter":
+        return Meter(*(a - b for a, b in zip(astuple(self), astuple(before))))
+
+
 class HidingOracle:
     """f hiding a subgroup of gp, evaluated via the transversal normal form.
 
@@ -55,8 +78,7 @@ class HidingOracle:
             raise TooLarge(f"group order {group.order} exceeds the 2^24 oracle guard")
         self.group = group
         self._hidden = hidden_table  # sealed: solvers must not read this
-        self.query_count = 0
-        self.simulation_cost = 0
+        self.meter = Meter()
         self._apow = gr._alpha_pows(group)
         self._apow_array = np.array(self._apow, dtype=np.int64)
         self._reps = hidden_table.reps
@@ -98,20 +120,28 @@ class HidingOracle:
             best = packed if best is None else np.minimum(best, packed, out=best)
         return best
 
+    @property
+    def query_count(self) -> int:
+        return self.meter.queries
+
+    @property
+    def simulation_cost(self) -> int:
+        return self.meter.sim_evals
+
     def query(self, g: gr.Element) -> Label:
-        self.query_count += 1
+        self.meter.queries += 1
         return self._label(g)
 
     def charge_superposition_query(self) -> None:
         """One oracle call made in superposition counts as one query."""
-        self.query_count += 1
+        self.meter.queries += 1
 
     def _sim_eval(self, g: gr.Element) -> Label:
-        self.simulation_cost += 1
+        self.meter.sim_evals += 1
         return self._label(g)
 
     def _sim_eval_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.simulation_cost += len(a)
+        self.meter.sim_evals += len(a)
         return self._label_array(a, b)
 
 

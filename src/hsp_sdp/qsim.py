@@ -420,30 +420,21 @@ def _probe_embedding(o, domain: Domain) -> None:
             )
 
 
-def abelian_hsp(
-    domain: Domain,
-    o,
-    rng,
-    kappa: int = KAPPA,
-    retries: int = RETRIES,
-    stats: dict | None = None,
-) -> list[Register]:
+def abelian_hsp(domain: Domain, o, rng) -> list[Register]:
     """Recover generators of {u : f(embed(u)) = f(embed(0))}, Las Vegas.
 
-    Per attempt: ceil(log2 |domain|) + kappa character samples, kernel by
+    Per attempt: ceil(log2 |domain|) + KAPPA character samples, kernel by
     p-adic elimination, then one verification query per kernel generator.
     The kernel always contains the hidden register subgroup K; it equals K
     iff every generator passes verification, so a wrong answer is impossible.
+    At most RETRIES attempts, each counted on the oracle's meter.
     """
     dims = domain.dims
     _probe_embedding(o, domain)
-    n_samples = (math.prod(dims) - 1).bit_length() + kappa
+    n_samples = (math.prod(dims) - 1).bit_length() + KAPPA
     zero = _zero(dims)
-    for attempt in range(1, retries + 1):
-        if stats is not None:
-            stats["iterations"] = stats.get("iterations", 0) + 1
-            if attempt > 1:
-                stats["retries"] = stats.get("retries", 0) + 1
+    for attempt in range(1, RETRIES + 1):
+        o.meter.attempt(attempt)
         chars = []
         for _ in range(n_samples):
             s = coset_sample(o, domain, rng)
@@ -452,4 +443,4 @@ def abelian_hsp(
         reference = o.query(domain.embed(o.group, zero))
         if all(o.query(domain.embed(o.group, g)) == reference for g in gens):
             return [tuple(g) for g in gens]
-    raise RetriesExhausted(f"abelian recovery failed after {retries} attempts")
+    raise RetriesExhausted(f"abelian recovery failed after {RETRIES} attempts")

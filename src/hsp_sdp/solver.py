@@ -10,6 +10,7 @@ failure mode is RetriesExhausted.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -25,14 +26,7 @@ STRATEGY_ABELIANIZATION = "Abelianization"
 STRATEGY_ABELIAN_ONLY = "AbelianOnly"
 
 
-def _bump(stats: dict | None, attempt: int) -> None:
-    if stats is not None:
-        stats["iterations"] = stats.get("iterations", 0) + 1
-        if attempt > 1:
-            stats["retries"] = stats.get("retries", 0) + 1
-
-
-def find_m_n(o, rng, stats: dict | None = None) -> tuple[int, int]:
+def find_m_n(o, rng) -> tuple[int, int]:
     """Depths of the hidden subgroup's intersections with the two axes.
 
     Runs the abelian recovery on each axis separately; the x axis embeds as
@@ -42,8 +36,8 @@ def find_m_n(o, rng, stats: dict | None = None) -> tuple[int, int]:
     gp = o.group
     x_axis = qsim.Domain((gp.x_mod,), ((1, 0),), name="x-axis")
     y_axis = qsim.Domain((gp.y_mod,), ((0, 1),), name="y-axis")
-    x_gens = qsim.abelian_hsp(x_axis, o, rng, stats=stats)
-    y_gens = qsim.abelian_hsp(y_axis, o, rng, stats=stats)
+    x_gens = qsim.abelian_hsp(x_axis, o, rng)
+    y_gens = qsim.abelian_hsp(y_axis, o, rng)
     gx = math.gcd(gp.x_mod, *(v[0] for v in x_gens))
     gy = math.gcd(gp.y_mod, *(v[0] for v in y_gens))
     m, _ = nt.p_valuation(gx, gp.p)
@@ -76,7 +70,7 @@ def recover_t(a: int, b: int, modulus: int) -> int | None:
     return (-nt.mod_inv(a, modulus) * b) % modulus
 
 
-def _constraint_routine(o, m, n, rng, stats):
+def _constraint_routine(o, m, n, rng):
     """Shared loop for the small-depth class1 branches.
 
     Cyclic (n == 2, m in {1, 2, 3}): register Z_(p^m) x Z_(p^2) on
@@ -101,7 +95,7 @@ def _constraint_routine(o, m, n, rng, stats):
     top = min(m, n)
     reference = o.query(gr.IDENTITY)
     for attempt in range(1, qsim.RETRIES + 1):
-        _bump(stats, attempt)
+        o.meter.attempt(attempt)
         s = qsim.coset_sample(o, domain, rng)
         c_a, c_b = qsim.fourier_sample(s, domain.dims, rng)
         t1 = recover_t(c_a, c_b, p**top)
@@ -117,7 +111,7 @@ def _constraint_routine(o, m, n, rng, stats):
     )
 
 
-def _abelian_route(o, m, scale_exp, rng, stats):
+def _abelian_route(o, m, scale_exp, rng):
     """Recover H inside the abelian subgroup <x^(p^scale_exp), y>.
 
     The embedding (u, v) -> (p^scale_exp * u, v) is an exact homomorphism
@@ -130,13 +124,13 @@ def _abelian_route(o, m, scale_exp, rng, stats):
     domain = qsim.Domain(
         (gp.x_mod // scale, gp.y_mod), ((scale, 0), (0, 1)), name="abelian-route"
     )
-    gens = qsim.abelian_hsp(domain, o, rng, stats=stats)
+    gens = qsim.abelian_hsp(domain, o, rng)
     lifted = [domain.embed(gp, g) for g in gens]
     lifted.append((gp.p ** m % gp.x_mod, 0))
     return sg.canonicalize(gp, lifted)
 
 
-def solve_via_abelianization(o, rng, stats: dict | None = None):
+def solve_via_abelianization(o, rng):
     """Recover H through the abelianization quotient.
 
     Only valid when H contains the commutator subgroup <x^(p^(r-c))>; the
@@ -148,22 +142,22 @@ def solve_via_abelianization(o, rng, stats: dict | None = None):
     c = gr.commutator_depth(gp)
     q = gp.p ** (gp.r - c)
     section = qsim.Domain((q, gp.y_mod), ((1, 0), (0, 1)), name="abelianization")
-    gens = qsim.abelian_hsp(section, o, rng, stats=stats)
+    gens = qsim.abelian_hsp(section, o, rng)
     lifted = [section.embed(gp, g) for g in gens]
     lifted.append((q % gp.x_mod, 0))
     return sg.canonicalize(gp, lifted)
 
 
-def solve_cyclic_class1(o, m, n, rng, stats: dict | None = None):
+def solve_cyclic_class1(o, m, n, rng):
     """Cyclic hidden subgroup in a class1 group."""
     if m in (1, 2, 3):
-        return _constraint_routine(o, m, n, rng, stats)
+        return _constraint_routine(o, m, n, rng)
     # m == 0 (H contains the whole x axis) or m >= 4: the x part is deep
     # enough that H meet <x^(p^2), y> plus x^(p^m) generates H.
-    return _abelian_route(o, m, 2, rng, stats)
+    return _abelian_route(o, m, 2, rng)
 
 
-def solve_noncyclic_class1(o, m, n, rng, stats: dict | None = None):
+def solve_noncyclic_class1(o, m, n, rng):
     """Noncyclic hidden subgroup in a class1 group (so m < r and n <= 1)."""
     gp = o.group
     p = gp.p
@@ -172,11 +166,11 @@ def solve_noncyclic_class1(o, m, n, rng, stats: dict | None = None):
     if m == 0:
         return sg.canonicalize(gp, [(1, 0), (0, p)])
     if m >= 3:
-        return _abelian_route(o, m, 2, rng, stats)
-    return _constraint_routine(o, m, n, rng, stats)
+        return _abelian_route(o, m, 2, rng)
+    return _constraint_routine(o, m, n, rng)
 
 
-def solve_class2(o, m, n, rng, stats: dict | None = None):
+def solve_class2(o, m, n, rng):
     """Hidden subgroup in a class2 group.
 
     Closed forms when an axis is fully contained; the shallow mixed cases go
@@ -190,8 +184,8 @@ def solve_class2(o, m, n, rng, stats: dict | None = None):
     if n == 0:
         return sg.canonicalize(gp, [(p ** m % gp.x_mod, 0), (0, 1)])
     if (1 <= m <= 2 and n == 2) or (m == 1 and n == 1):
-        return solve_via_abelianization(o, rng, stats)
-    return _abelian_route(o, m, 1, rng, stats)
+        return solve_via_abelianization(o, rng)
+    return _abelian_route(o, m, 1, rng)
 
 
 @dataclass
@@ -249,9 +243,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         raise PreconditionViolated(f"unknown strategy {strategy!r}")
 
     rng = random.Random(seed)
-    queries_before = o.query_count
-    sims_before = o.simulation_cost
-    stats: dict = {"iterations": 0, "retries": 0}
+    before = copy.copy(o.meter)
 
     if gp.class_tag == gr.CLASS_ABELIAN:
         if choice == "abelianization":
@@ -259,7 +251,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
                 "abelianization strategy is undefined for an abelian group"
             )
         whole = qsim.Domain((gp.x_mod, gp.y_mod), ((1, 0), (0, 1)), name="abelian")
-        gens = qsim.abelian_hsp(whole, o, rng, stats=stats)
+        gens = qsim.abelian_hsp(whole, o, rng)
         recovered = sg.canonicalize(gp, list(gens))
         strategy_used = STRATEGY_ABELIAN_ONLY
         branch = "abelian/direct-product"
@@ -267,7 +259,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         m = table.x_intersection_val(gp.p)
         n = table.y_intersection_val(gp.p)
     else:
-        m, n = find_m_n(o, rng, stats)
+        m, n = find_m_n(o, rng)
         cyc = classify_cyclicity(m, n, gp.r)
         branch = f"{gp.class_tag}/{cyc}/m={m}"
         if choice == "abelianization":
@@ -277,17 +269,17 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
                     "hidden subgroup does not contain the commutator subgroup "
                     f"(m = {m} > {gp.r - c}); abelianization not applicable"
                 )
-            recovered = solve_via_abelianization(o, rng, stats)
+            recovered = solve_via_abelianization(o, rng)
             strategy_used = STRATEGY_ABELIANIZATION
         else:
             strategy_used = STRATEGY_DIRECT
             if gp.class_tag == gr.CLASS1:
                 if cyc == "cyclic":
-                    recovered = solve_cyclic_class1(o, m, n, rng, stats)
+                    recovered = solve_cyclic_class1(o, m, n, rng)
                 else:
-                    recovered = solve_noncyclic_class1(o, m, n, rng, stats)
+                    recovered = solve_noncyclic_class1(o, m, n, rng)
             else:
-                recovered = solve_class2(o, m, n, rng, stats)
+                recovered = solve_class2(o, m, n, rng)
 
     # Final verification: every generator of the recovered subgroup must sit
     # in the same coset as the identity, and the recovered table must show
@@ -303,6 +295,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         raise VerificationFailed(
             "recovered subgroup disagrees with the measured axis depths"
         )
+    spent = o.meter - before
 
     return SolveReport(
         group={"p": gp.p, "r": gp.r, "tau": gp.tau, "class": gp.class_tag},
@@ -311,10 +304,10 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         branch=branch,
         m=m,
         n=n,
-        oracle_queries=o.query_count - queries_before,
-        simulation_cost=o.simulation_cost - sims_before,
-        iterations=stats["iterations"],
+        oracle_queries=spent.queries,
+        simulation_cost=spent.sim_evals,
+        iterations=spent.iterations,
         seed=seed,
         verified=True,
-        first_try=stats["retries"] == 0,
+        first_try=spent.retries == 0,
     )

@@ -221,6 +221,7 @@ class SubgroupTable:
         return v
 
 
+@lru_cache(maxsize=None)
 def table_for(gp: gr.GroupParams, d: Descriptor) -> SubgroupTable:
     return SubgroupTable.from_generators(gp, generators(gp, d))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from hsp_sdp import cli
+from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 
 
@@ -99,6 +100,21 @@ def test_solve_abelianization_inapplicable_exit_2(capsys):
     )
     assert code == 2
     assert "abelianization" in err.lower()
+
+
+def test_solve_exhausted_retries_exit_1(capsys, monkeypatch):
+    # no character sample pins t, so the small-depth branch gives up
+    monkeypatch.setattr(solver, "recover_t", lambda a, b, modulus: None)
+    code, out, err = run_cli(
+        capsys,
+        [
+            "solve", "--p", "3", "--r", "5", "--tau", "1",
+            "--subgroup", '{"form":"sg1m","t":2,"i":0,"j":1}',
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert "no unit character sample" in err
 
 
 def test_solve_requires_exactly_one_subgroup_input(capsys):

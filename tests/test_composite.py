@@ -147,6 +147,7 @@ def test_solve_composite_reports():
     ).order
     assert res.oracle_queries == o.query_count
     assert res.simulation_cost == o.simulation_cost
+    assert res.iterations == o.meter.iterations
     assert res.seed == 9
 
 

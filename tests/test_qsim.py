@@ -11,7 +11,12 @@ from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
 from hsp_sdp import subgroup as sg
-from hsp_sdp.errors import DimensionMismatch, PreconditionViolated, TooLarge
+from hsp_sdp.errors import (
+    DimensionMismatch,
+    PreconditionViolated,
+    RetriesExhausted,
+    TooLarge,
+)
 
 from helpers import register_span
 
@@ -418,3 +423,21 @@ def test_character_samples_annihilate_hidden_subgroup():
         for k in s.gens:
             pairing = sum(ci * ki * (9 // n) for ci, ki, n in zip(c, k, (3, 9)))
             assert pairing % 9 == 0
+
+
+def test_abelian_hsp_exhausts_retries_when_samples_carry_no_constraint(monkeypatch):
+    # zero characters leave the whole register as kernel; its generator (1,)
+    # is outside the trivial hidden subgroup, so every attempt fails to verify
+    calls = []
+
+    def zero_character(s, dims, rng):
+        calls.append(dims)
+        return (0,) * len(dims)
+
+    monkeypatch.setattr(qsim, "fourier_sample", zero_character)
+    o = orc.make_oracle(G351, sg.sg1x(5))
+    with pytest.raises(RetriesExhausted):
+        qsim.abelian_hsp(x_axis_domain(G351), o, random.Random(22))
+    assert o.meter.iterations == qsim.RETRIES
+    assert o.meter.retries == qsim.RETRIES - 1
+    assert len(calls) == qsim.RETRIES * ((G351.x_mod - 1).bit_length() + qsim.KAPPA)

@@ -185,4 +185,6 @@ def test_solve_query_and_iteration_accounting():
     assert rep.oracle_queries == o.query_count
     assert rep.simulation_cost == o.simulation_cost
     assert rep.iterations >= 3  # two axis recoveries plus at least one branch pass
+    assert rep.iterations == o.meter.iterations
+    assert rep.first_try == (o.meter.retries == 0)
     assert rep.seed == 11
