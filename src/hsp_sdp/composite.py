@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import group as gr
 from . import numtheory as nt
 from . import oracle as orc
-from . import qsim
 from . import solver
 from . import subgroup as sg
 from .errors import (
@@ -80,7 +79,7 @@ def make_composite(N: int, p: int, alpha: int) -> CompositeParams:
     alpha %= N
     if math.gcd(alpha, N) != 1:
         raise NotInvertible(f"alpha = {alpha} is not a unit mod {N}")
-    if nt.mod_pow(alpha, p * p, N) != 1:
+    if pow(alpha, p * p, N) != 1:
         raise PreconditionViolated(
             f"alpha = {alpha} does not have order dividing p^2 mod {N}"
         )
@@ -194,11 +193,10 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
     lifted: list[gr.Element] = []
     vals = []
     for fac in dec.abelian:
-        slot = qsim.Domain((fac.modulus,), ((fac.crt_unit, 0),), name=f"crt-{fac.prime}")
-        gens = qsim.abelian_hsp(slot, o, rng)
-        g = math.gcd(fac.modulus, *(u for (u,) in gens))
-        v, _ = nt.p_valuation(g, fac.prime)
-        vals.append((fac.prime, int(v)))
+        v, g = solver.axis_depth(
+            o, fac.modulus, (fac.crt_unit, 0), fac.prime, rng, f"crt-{fac.prime}"
+        )
+        vals.append((fac.prime, v))
         if g < fac.modulus:
             lifted.append((g * fac.crt_unit % cp.N, 0))
 
@@ -207,12 +205,11 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
     for a, b in sg.generators(dec.semidirect, rep.recovered):
         lifted.append((a * dec.p_crt_unit % cp.N, b))
 
-    reference = o.query(gr.IDENTITY)
-    for g in lifted:
-        if o.query(g) != reference:
-            raise VerificationFailed(
-                f"combined generator {g} is not in the hidden subgroup"
-            )
+    outside = o.first_outside(lifted)
+    if outside is not None:
+        raise VerificationFailed(
+            f"combined generator {outside} is not in the hidden subgroup"
+        )
     table = sg.SubgroupTable.from_generators(dec.parent, lifted)
     spent = o.meter - before
 

@@ -14,10 +14,6 @@ class NotInvertible(HspError):
     """Modular inverse requested for a non-unit."""
 
 
-class ModuliNotCoprime(HspError):
-    """CRT recombination with non-coprime moduli."""
-
-
 class InvalidPrime(HspError):
     """p must be an odd prime."""
 

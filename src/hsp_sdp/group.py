@@ -7,7 +7,7 @@ multiplying by
 
 so x = (1, 0) and y = (0, 1) satisfy y x y^-1 = x^alpha. The twist satisfies
 alpha^(y_mod) == 1 (mod x_mod) in every construction here. Hot-path ops skip
-per-element range validation; use make_element at boundaries.
+per-element range validation.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def make_semidirect(x_mod: int, p: int, alpha: int) -> SemidirectGroup:
     if x_mod * p * p >= ORDER_GUARD:
         raise Overflow("group order must stay below 2**63")
     alpha %= x_mod
-    if math.gcd(alpha, x_mod) != 1 or nt.mod_pow(alpha, p * p, x_mod) != 1:
+    if math.gcd(alpha, x_mod) != 1 or pow(alpha, p * p, x_mod) != 1:
         raise ValueError("alpha must be a unit of order dividing p^2")
     return SemidirectGroup(x_mod=x_mod, p=p, alpha=alpha, y_mod=p * p)
 
@@ -114,12 +114,6 @@ def _alpha_pows(gp: SemidirectGroup) -> tuple[int, ...]:
     return tuple(out)
 
 
-def make_element(gp: SemidirectGroup, a: int, b: int) -> Element:
-    if not (0 <= a < gp.x_mod and 0 <= b < gp.y_mod):
-        raise ValueError(f"element ({a}, {b}) out of range for this group")
-    return (a, b)
-
-
 def mul(gp: SemidirectGroup, g1: Element, g2: Element) -> Element:
     a1, b1 = g1
     a2, b2 = g2
@@ -140,9 +134,9 @@ def _geometric_sum(beta: int, k: int, modulus: int) -> int:
     if k == 0:
         return 0
     half = _geometric_sum(beta, k // 2, modulus)
-    total = half * (1 + nt.mod_pow(beta, k // 2, modulus)) % modulus
+    total = half * (1 + pow(beta, k // 2, modulus)) % modulus
     if k % 2:
-        total = (total + nt.mod_pow(beta, k - 1, modulus)) % modulus
+        total = (total + pow(beta, k - 1, modulus)) % modulus
     return total
 
 

@@ -8,19 +8,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import ModuliNotCoprime, NotInvertible
+from .errors import NotInvertible
 
 #: Valuation returned for 0 (divisible by every power of p).
 INFINITE = math.inf
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for exp >= 0, modulus >= 1."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return pow(base, exp, modulus)
 
 
 def mod_inv(a: int, modulus: int) -> int:
@@ -31,23 +22,6 @@ def mod_inv(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError as exc:
         raise NotInvertible(f"{a} is not a unit modulo {modulus}") from exc
-
-
-def crt_combine(residue_modulus_pairs: list[tuple[int, int]]) -> int:
-    """Combined residue modulo the product of pairwise coprime moduli."""
-    if not residue_modulus_pairs:
-        raise ValueError("need at least one (residue, modulus) pair")
-    x, m = 0, 1
-    for r, mod in residue_modulus_pairs:
-        if mod < 1:
-            raise ValueError("moduli must be positive")
-        g = math.gcd(m, mod)
-        if g != 1:
-            raise ModuliNotCoprime(f"moduli share factor {g}")
-        # x' == x (mod m), x' == r (mod mod)
-        x = (x + m * ((r - x) * mod_inv(m, mod) % mod)) % (m * mod)
-        m *= mod
-    return x
 
 
 def p_valuation(a: int, p: int) -> tuple[int | float, int]:

@@ -9,8 +9,10 @@ Accounting: every oracle owns one Meter, and every cost a report gives is a
 difference of two readings of it. query() and charge_superposition_query()
 count one query each; _sim_eval() counts one simulation evaluation instead
 (simulator-side work such as domain scans, never visible to the algorithm
-being costed), and _sim_eval_array() one per element it labels. Las Vegas
-loops call meter.attempt(k) once per attempt.
+being costed), and _sim_eval_array() one per element it labels. Membership
+checks go through first_outside(gens): one query for the identity, then one
+per element until the first one outside H. Las Vegas loops call
+meter.attempt(k) once per attempt.
 """
 
 from __future__ import annotations
@@ -120,17 +122,18 @@ class HidingOracle:
             best = packed if best is None else np.minimum(best, packed, out=best)
         return best
 
-    @property
-    def query_count(self) -> int:
-        return self.meter.queries
-
-    @property
-    def simulation_cost(self) -> int:
-        return self.meter.sim_evals
-
     def query(self, g: gr.Element) -> Label:
         self.meter.queries += 1
         return self._label(g)
+
+    def first_outside(self, gens):
+        """First element of gens outside H, or None: queries the identity, then
+        each element in order up to the first whose label differs."""
+        reference = self.query(gr.IDENTITY)
+        for g in gens:
+            if self.query(g) != reference:
+                return g
+        return None
 
     def charge_superposition_query(self) -> None:
         """One oracle call made in superposition counts as one query."""

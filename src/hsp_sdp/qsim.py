@@ -280,16 +280,6 @@ class OutcomeDistribution:
     def prob(self, outcome) -> Fraction:
         return self.probs.get(tuple(outcome), Fraction(0))
 
-    def sample(self, rng) -> Register:
-        denom = math.lcm(*(p.denominator for p in self.probs.values()))
-        k = rng.randrange(denom)
-        acc = 0
-        for outcome, p in self.probs.items():
-            acc += int(p * denom)
-            if k < acc:
-                return outcome
-        raise AssertionError("probabilities must sum to 1")
-
 
 def fourier_distribution(s: CosetSupport, dims) -> OutcomeDistribution:
     """Direct amplitude summation over the support, exact rationals.
@@ -432,7 +422,6 @@ def abelian_hsp(domain: Domain, o, rng) -> list[Register]:
     dims = domain.dims
     _probe_embedding(o, domain)
     n_samples = (math.prod(dims) - 1).bit_length() + KAPPA
-    zero = _zero(dims)
     for attempt in range(1, RETRIES + 1):
         o.meter.attempt(attempt)
         chars = []
@@ -440,7 +429,7 @@ def abelian_hsp(domain: Domain, o, rng) -> list[Register]:
             s = coset_sample(o, domain, rng)
             chars.append(fourier_sample(s, dims, rng))
         gens = dual_kernel(dims, chars)
-        reference = o.query(domain.embed(o.group, zero))
-        if all(o.query(domain.embed(o.group, g)) == reference for g in gens):
+        # embed(0) is the identity, which first_outside queries first
+        if o.first_outside(domain.embed(o.group, g) for g in gens) is None:
             return [tuple(g) for g in gens]
     raise RetriesExhausted(f"abelian recovery failed after {RETRIES} attempts")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import group as gr
 from . import numtheory as nt
@@ -26,23 +26,22 @@ STRATEGY_ABELIANIZATION = "Abelianization"
 STRATEGY_ABELIAN_ONLY = "AbelianOnly"
 
 
-def find_m_n(o, rng) -> tuple[int, int]:
-    """Depths of the hidden subgroup's intersections with the two axes.
+def axis_depth(o, modulus, step, prime, rng, name) -> tuple[int, int]:
+    """(v, g) with H meet <step> = <step^g>, g = prime^v (g == modulus when the
+    meet is trivial), by abelian recovery on Z_modulus -> step^u, a homomorphism."""
+    axis = qsim.Domain((modulus,), (step,), name=name)
+    gens = qsim.abelian_hsp(axis, o, rng)
+    g = math.gcd(modulus, *(u for (u,) in gens))
+    v, _ = nt.p_valuation(g, prime)
+    return int(v), g
 
-    Runs the abelian recovery on each axis separately; the x axis embeds as
-    (a, 0) and the y axis as (0, b), both exact homomorphisms. Returns
-    (m, n) with H meet <x> = <x^(p^m)> and H meet <y> = <y^(p^n)>.
-    """
+
+def find_m_n(o, rng) -> tuple[int, int]:
+    """(m, n) with H meet <x> = <x^(p^m)> and H meet <y> = <y^(p^n)>."""
     gp = o.group
-    x_axis = qsim.Domain((gp.x_mod,), ((1, 0),), name="x-axis")
-    y_axis = qsim.Domain((gp.y_mod,), ((0, 1),), name="y-axis")
-    x_gens = qsim.abelian_hsp(x_axis, o, rng)
-    y_gens = qsim.abelian_hsp(y_axis, o, rng)
-    gx = math.gcd(gp.x_mod, *(v[0] for v in x_gens))
-    gy = math.gcd(gp.y_mod, *(v[0] for v in y_gens))
-    m, _ = nt.p_valuation(gx, gp.p)
-    n, _ = nt.p_valuation(gy, gp.p)
-    return int(m), int(n)
+    m, _ = axis_depth(o, gp.x_mod, (1, 0), gp.p, rng, "x-axis")
+    n, _ = axis_depth(o, gp.y_mod, (0, 1), gp.p, rng, "y-axis")
+    return m, n
 
 
 def classify_cyclicity(m: int, n: int, r: int) -> str:
@@ -111,6 +110,16 @@ def _constraint_routine(o, m, n, rng):
     )
 
 
+def _section(o, x_dim, x_step, x_extra, rng, name):
+    """H from an abelian recovery on Z_x_dim x Z_(p^2) -> (x_step u, v), whose
+    lifted generators plus x^x_extra (an element known to lie in H) span H."""
+    gp = o.group
+    domain = qsim.Domain((x_dim, gp.y_mod), ((x_step, 0), (0, 1)), name=name)
+    lifted = [domain.embed(gp, g) for g in qsim.abelian_hsp(domain, o, rng)]
+    lifted.append((x_extra % gp.x_mod, 0))
+    return sg.canonicalize(gp, lifted)
+
+
 def _abelian_route(o, m, scale_exp, rng):
     """Recover H inside the abelian subgroup <x^(p^scale_exp), y>.
 
@@ -121,13 +130,7 @@ def _abelian_route(o, m, scale_exp, rng):
     """
     gp = o.group
     scale = gp.p ** scale_exp
-    domain = qsim.Domain(
-        (gp.x_mod // scale, gp.y_mod), ((scale, 0), (0, 1)), name="abelian-route"
-    )
-    gens = qsim.abelian_hsp(domain, o, rng)
-    lifted = [domain.embed(gp, g) for g in gens]
-    lifted.append((gp.p ** m % gp.x_mod, 0))
-    return sg.canonicalize(gp, lifted)
+    return _section(o, gp.x_mod // scale, scale, gp.p ** m, rng, "abelian-route")
 
 
 def solve_via_abelianization(o, rng):
@@ -139,13 +142,8 @@ def solve_via_abelianization(o, rng):
     generators plus the commutator generator spans H exactly.
     """
     gp = o.group
-    c = gr.commutator_depth(gp)
-    q = gp.p ** (gp.r - c)
-    section = qsim.Domain((q, gp.y_mod), ((1, 0), (0, 1)), name="abelianization")
-    gens = qsim.abelian_hsp(section, o, rng)
-    lifted = [section.embed(gp, g) for g in gens]
-    lifted.append((q % gp.x_mod, 0))
-    return sg.canonicalize(gp, lifted)
+    q = gp.p ** (gp.r - gr.commutator_depth(gp))
+    return _section(o, q, 1, q, rng, "abelianization")
 
 
 def solve_cyclic_class1(o, m, n, rng):
@@ -204,20 +202,7 @@ class SolveReport:
     first_try: bool
 
     def to_json(self) -> dict:
-        return {
-            "group": dict(self.group),
-            "recovered": sg.descriptor_to_json(self.recovered),
-            "strategy": self.strategy,
-            "branch": self.branch,
-            "m": self.m,
-            "n": self.n,
-            "oracle_queries": self.oracle_queries,
-            "simulation_cost": self.simulation_cost,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "verified": self.verified,
-            "first_try": self.first_try,
-        }
+        return {**asdict(self), "recovered": sg.descriptor_to_json(self.recovered)}
 
 
 _STRATEGIES = {"auto", "direct", "abelianization"}
@@ -250,9 +235,8 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
             raise PreconditionViolated(
                 "abelianization strategy is undefined for an abelian group"
             )
-        whole = qsim.Domain((gp.x_mod, gp.y_mod), ((1, 0), (0, 1)), name="abelian")
-        gens = qsim.abelian_hsp(whole, o, rng)
-        recovered = sg.canonicalize(gp, list(gens))
+        # x^0 is the identity: the whole group is the section, nothing to add
+        recovered = _section(o, gp.x_mod, 1, 0, rng, "abelian")
         strategy_used = STRATEGY_ABELIAN_ONLY
         branch = "abelian/direct-product"
         table = sg.table_for(gp, recovered)
@@ -284,12 +268,11 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
     # Final verification: every generator of the recovered subgroup must sit
     # in the same coset as the identity, and the recovered table must show
     # the measured axis depths.
-    reference = o.query(gr.IDENTITY)
-    for g in sg.generators(gp, recovered):
-        if o.query(g) != reference:
-            raise VerificationFailed(
-                f"recovered generator {g} is not in the hidden subgroup"
-            )
+    outside = o.first_outside(sg.generators(gp, recovered))
+    if outside is not None:
+        raise VerificationFailed(
+            f"recovered generator {outside} is not in the hidden subgroup"
+        )
     table = sg.table_for(gp, recovered)
     if (table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)) != (m, n):
         raise VerificationFailed(

@@ -3,13 +3,16 @@
 Four descriptor forms cover every subgroup of Z_{p^r} x| Z_{p^2}:
 
     sg1x(i)        <x^(p^i)>                       0 <= i <= r
-    sg1m(t, i, j)  <x^(t*p^i) y^(p^j)>             j in {0,1}, t unit mod p^l,
-                                                   l = min(r-i, 2-j), t=1 if l=0
+    sg1m(t, i, j)  <x^(t*p^i) y^(p^j)>             0 <= i <= r, j in {0,1}, t unit
+                                                   mod p^l, l = min(r-i, 2-j), t=1 if l=0
     sg2(i, j)      <x^(p^i), y^(p^j)>              0 <= i < r, j in {0,1}
     sg3(t, i)      <x^(t*p^i) y, x^(p^(i+1))>      0 <= i < r, t unit mod p
 
-The forms overlap (sg3 at i = r-1 is cyclic); the catalog keeps the
-lexicographically least (form-rank, i, j, t) representative per element set.
+with a unit mod q taken in [1, q). This table is the one spec of the
+descriptor space: _descriptor_space enumerates it and validate_descriptor
+tests membership. The forms overlap (sg3 at i = r-1 is cyclic); the catalog
+keeps the lexicographically least (form-rank, i, j, t) representative per
+element set.
 
 Internally every subgroup is reduced to a transversal normal form
 (SubgroupTable): the x-axis intersection step d and, for each value b of the
@@ -91,38 +94,9 @@ def descriptor_from_json(blob: dict) -> Descriptor:
     return Descriptor(form, blob["i"], t=blob.get("t"), j=blob.get("j"))
 
 
-def _mixed_t_modulus_exp(gp: gr.GroupParams, i: int, j: int) -> int:
-    return min(gp.r - i, 2 - j)
-
-
 def validate_descriptor(gp: gr.GroupParams, d: Descriptor) -> None:
-    p, r = gp.p, gp.r
-    form = d.form
-    if form not in FORM_RANK:
-        raise InvalidDescriptor(f"unknown form {form!r}")
-    if form == "sg1x":
-        if not (0 <= d.i <= r) or d.t is not None or d.j is not None:
-            raise InvalidDescriptor(f"bad sg1x descriptor {d}")
-        return
-    if form == "sg1m":
-        if d.t is None or d.j is None or not (0 <= d.i <= r) or d.j not in (0, 1):
-            raise InvalidDescriptor(f"bad sg1m descriptor {d}")
-        l = _mixed_t_modulus_exp(gp, d.i, d.j)
-        if l == 0:
-            if d.t != 1:
-                raise InvalidDescriptor(f"sg1m with trivial t-range requires t=1: {d}")
-        elif not (1 <= d.t < p**l) or d.t % p == 0:
-            raise InvalidDescriptor(f"sg1m t={d.t} not a unit mod {p**l}: {d}")
-        return
-    if form == "sg2":
-        if not (0 <= d.i < r) or d.j not in (0, 1) or d.t is not None:
-            raise InvalidDescriptor(f"bad sg2 descriptor {d}")
-        return
-    # sg3
-    if d.t is None or d.j is not None or not (0 <= d.i < r):
-        raise InvalidDescriptor(f"bad sg3 descriptor {d}")
-    if not (1 <= d.t < p) :
-        raise InvalidDescriptor(f"sg3 t={d.t} not a unit mod {p}: {d}")
+    if d not in _descriptor_space(gp):
+        raise InvalidDescriptor(f"{d} is out of range for p={gp.p}, r={gp.r}")
 
 
 def generators(gp: gr.GroupParams, d: Descriptor) -> list[gr.Element]:
@@ -236,19 +210,24 @@ def _units(modulus: int, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _catalog_with_index(gp: gr.GroupParams):
+def _descriptor_space(gp: gr.GroupParams) -> frozenset:
+    """Every descriptor the module docstring's range table allows for gp."""
     p, r = gp.p, gp.r
-    raw: list[Descriptor] = [sg1x(i) for i in range(r + 1)]
+    space = {sg1x(i) for i in range(r + 1)}
     for j in (0, 1):
         for i in range(r + 1):
-            l = _mixed_t_modulus_exp(gp, i, j)
-            raw.extend(sg1m(t, i, j) for t in _units(p**l, p))
-    raw.extend(sg2(i, j) for j in (0, 1) for i in range(r))
-    raw.extend(sg3(t, i) for i in range(r) for t in _units(p, p))
-    raw.sort(key=Descriptor.sort_key)
+            space.update(sg1m(t, i, j) for t in _units(p ** min(r - i, 2 - j), p))
+    space.update(sg2(i, j) for j in (0, 1) for i in range(r))
+    space.update(sg3(t, i) for i in range(r) for t in _units(p, p))
+    return frozenset(space)
+
+
+@lru_cache(maxsize=None)
+def _catalog_with_index(gp: gr.GroupParams):
     index: dict[SubgroupTable, Descriptor] = {}
     kept: list[Descriptor] = []
-    for d in raw:
+    # sort keys are unique, so the order does not depend on set iteration
+    for d in sorted(_descriptor_space(gp), key=Descriptor.sort_key):
         table = table_for(gp, d)
         if table not in index:
             index[table] = d

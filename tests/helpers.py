@@ -1,11 +1,13 @@
 """Reference code that only tests call: register spans and axis depths
-computed by brute force from explicit element sets."""
+computed by brute force from explicit element sets, and a recorder of the
+elements an oracle is queried on."""
 
 import math
 from functools import reduce
 
 from hsp_sdp import group as gr
 from hsp_sdp import numtheory as nt
+from hsp_sdp import oracle as orc
 from hsp_sdp.qsim import Register, _add, _zero
 from hsp_sdp.subgroup import SubgroupSet
 
@@ -39,3 +41,16 @@ def intersect_with_axis(gp: gr.GroupParams, subgroup: SubgroupSet, axis: str) ->
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     assert u <= 1, "axis intersection must be a p-power cyclic group"
     return v
+
+
+def record_queries(monkeypatch) -> list:
+    """The list every later HidingOracle.query appends its element to."""
+    seen: list = []
+    query = orc.HidingOracle.query
+
+    def recording(self, g):
+        seen.append(g)
+        return query(self, g)
+
+    monkeypatch.setattr(orc.HidingOracle, "query", recording)
+    return seen

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,13 +8,17 @@ import pytest
 from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
+from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
     InvalidPrime,
     NotInvertible,
     PreconditionViolated,
     RTooSmall,
+    VerificationFailed,
 )
+
+from helpers import record_queries
 
 N = 1215  # 3^5 * 5
 ALPHA = 271  # == 28 mod 243, == 1 mod 5
@@ -97,9 +102,9 @@ def test_factor_oracle_array_labels_match_scalar_labels():
     b = np.array([g[1] for g in elems], dtype=np.int64)
     want = [fo._label(g)._packed for g in elems]
     assert fo._sim_eval_array(a, b).tolist() == want
-    assert fo.simulation_cost == len(elems)
-    assert o.simulation_cost == len(elems)
-    assert fo.query_count == o.query_count == 0
+    assert fo.meter.sim_evals == len(elems)
+    assert o.meter.sim_evals == len(elems)
+    assert fo.meter.queries == o.meter.queries == 0
 
 
 # ------------------------------------------------------------------ solving
@@ -145,10 +150,37 @@ def test_solve_composite_reports():
     assert res.subgroup_order == sg.SubgroupTable.from_generators(
         dec.parent, gens
     ).order
-    assert res.oracle_queries == o.query_count
-    assert res.simulation_cost == o.simulation_cost
+    assert res.oracle_queries == o.meter.queries
+    assert res.simulation_cost == o.meter.sim_evals
     assert res.iterations == o.meter.iterations
     assert res.seed == 9
+
+
+def test_combined_verification_queries_identity_then_each_generator(monkeypatch):
+    cp = params()
+    dec = cx.decompose(cp)
+    o = orc.make_oracle_from_generators(dec.parent, [(2 * 730 % N, 3), (486, 0)])
+    seen = record_queries(monkeypatch)
+    res = cx.solve_composite(cp, o, seed=9)
+    assert seen[-1 - len(res.generators):] == [gr.IDENTITY, *res.generators]
+
+
+def test_combined_verification_stops_at_first_generator_outside(monkeypatch):
+    # the hidden subgroup has no 3-part; a faulty p-part answer <x> lifts to
+    # (730, 0) after the 5-slot generator (486, 0), which is inside
+    solve = solver.solve
+
+    def faulty(o, **kw):
+        return dataclasses.replace(solve(o, **kw), recovered=sg.sg1x(0))
+
+    monkeypatch.setattr(solver, "solve", faulty)
+    cp = params()
+    dec = cx.decompose(cp)
+    o = orc.make_oracle_from_generators(dec.parent, [(486, 0)])
+    seen = record_queries(monkeypatch)
+    with pytest.raises(VerificationFailed, match=r"combined generator \(730, 0\) is not"):
+        cx.solve_composite(cp, o, seed=9)
+    assert seen[-3:] == [gr.IDENTITY, (486, 0), (730, 0)]
 
 
 def test_solve_composite_deterministic():

@@ -5,42 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsp_sdp import numtheory as nt
-from hsp_sdp.errors import ModuliNotCoprime, NotInvertible
+from hsp_sdp.errors import NotInvertible
 
 
-# ---------------------------------------------------------------- mod_pow
+# ------------------------------------------------------- powers of the twist
 
 def test_mod_pow_frozen_values():
     # 28 has multiplicative order 9 modulo 3^5
-    assert nt.mod_pow(28, 9, 243) == 1
-    assert nt.mod_pow(28, 3, 243) == 82
-    assert nt.mod_pow(5, 0, 7) == 1
+    assert pow(28, 9, 243) == 1
+    assert pow(28, 3, 243) == 82
+    assert pow(5, 0, 7) == 1
 
 
 def test_mod_pow_order_witnesses():
     # order exactly 9: no smaller positive exponent hits 1
-    assert all(nt.mod_pow(28, e, 243) != 1 for e in range(1, 9))
+    assert all(pow(28, e, 243) != 1 for e in range(1, 9))
     # 82 = 28^3 has order 3: the degenerate-twist generator
-    assert nt.mod_pow(82, 3, 243) == 1
-    assert nt.mod_pow(82, 1, 243) != 1
-
-
-@given(
-    base=st.integers(min_value=0, max_value=10**6),
-    exp=st.integers(min_value=0, max_value=64),
-    modulus=st.integers(min_value=1, max_value=10**4),
-)
-@settings(max_examples=300)
-def test_mod_pow_matches_naive(base, exp, modulus):
-    acc = 1 % modulus
-    for _ in range(exp):
-        acc = (acc * base) % modulus
-    assert nt.mod_pow(base, exp, modulus) == acc
-
-
-def test_mod_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        nt.mod_pow(2, -1, 7)
+    assert pow(82, 3, 243) == 1
+    assert pow(82, 1, 243) != 1
 
 
 # ---------------------------------------------------------------- mod_inv
@@ -71,42 +53,6 @@ def test_mod_inv_property(a, m):
     else:
         with pytest.raises(NotInvertible):
             nt.mod_inv(a, m)
-
-
-# ---------------------------------------------------------------- crt_combine
-
-def test_crt_combine_frozen_values():
-    assert nt.crt_combine([(28, 243), (1, 5)]) == 271
-    with pytest.raises(ModuliNotCoprime):
-        nt.crt_combine([(1, 4), (1, 6)])
-
-
-def test_crt_combine_single_pair():
-    assert nt.crt_combine([(7, 10)]) == 7
-
-
-coprime_moduli = st.lists(
-    st.sampled_from([3, 5, 7, 11, 13, 16, 27, 243, 25, 49]),
-    min_size=1,
-    max_size=4,
-    unique=True,
-)
-
-
-@given(moduli=coprime_moduli, data=st.data())
-@settings(max_examples=200)
-def test_crt_round_trip(moduli, data):
-    # keep only pairwise coprime selections
-    for i, m1 in enumerate(moduli):
-        for m2 in moduli[i + 1:]:
-            if math.gcd(m1, m2) != 1:
-                return
-    residues = [data.draw(st.integers(0, m - 1)) for m in moduli]
-    x = nt.crt_combine(list(zip(residues, moduli)))
-    prod = math.prod(moduli)
-    assert 0 <= x < prod
-    for r, m in zip(residues, moduli):
-        assert x % m == r
 
 
 # ---------------------------------------------------------------- p_valuation

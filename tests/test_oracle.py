@@ -56,8 +56,8 @@ def test_array_labels_match_scalar_labels_on_catalog(tau):
         o = orc.make_oracle(gp, descr)
         want = [o._label(g)._packed for g in elems]
         assert o._sim_eval_array(a, b).tolist() == want, descr
-        assert o.simulation_cost == len(elems)
-        assert o.query_count == 0
+        assert o.meter.sim_evals == len(elems)
+        assert o.meter.queries == 0
 
 
 def test_hiding_property_random_pairs():
@@ -74,16 +74,32 @@ def test_hiding_property_random_pairs():
 
 def test_query_count_accounting():
     o = orc.make_oracle(G351, sg.sg1x(2))
-    assert o.query_count == 0
+    assert o.meter.queries == 0
     o.query((5, 3))
     o.query((5, 3))
-    assert o.query_count == 2
+    assert o.meter.queries == 2
     o.charge_superposition_query()
-    assert o.query_count == 3
-    assert o.simulation_cost == 0
+    assert o.meter.queries == 3
+    assert o.meter.sim_evals == 0
     o._sim_eval((5, 3))
-    assert o.simulation_cost == 1
-    assert o.query_count == 3
+    assert o.meter.sim_evals == 1
+    assert o.meter.queries == 3
+
+
+@pytest.mark.parametrize(
+    "gens, outside, k",
+    [
+        ([], None, 0),
+        ([(9, 0), (0, 3), (18, 6)], None, 3),
+        ([(1, 0), (9, 0)], (1, 0), 1),
+        ([(9, 0), (0, 3), (3, 3), (0, 1), (1, 0)], (3, 3), 3),
+    ],
+)
+def test_first_outside_charges_identity_plus_prefix(gens, outside, k):
+    o = orc.make_oracle(G351, sg.sg2(2, 1))  # <x^9, y^3>
+    assert o.first_outside(gens) == outside
+    assert o.meter.queries == 1 + k
+    assert o.meter.sim_evals == 0
 
 
 def test_labels_deterministic_across_instances():
@@ -111,7 +127,7 @@ def test_brute_force_recover():
     want = sg.elements(G351, sg.sg3(2, 1))
     got = orc.brute_force_recover(o)
     assert got == want
-    assert o.query_count == G351.order
+    assert o.meter.queries == G351.order
 
 
 def test_brute_force_recover_guard():

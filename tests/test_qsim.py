@@ -18,7 +18,7 @@ from hsp_sdp.errors import (
     TooLarge,
 )
 
-from helpers import register_span
+from helpers import record_queries, register_span
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -113,14 +113,14 @@ def test_coset_sample_accounting_and_cache():
     dom = direct_domain((3, 9))
     rng = random.Random(2)
     qsim.coset_sample(o, dom, rng)
-    assert o.query_count == 1
-    assert o.simulation_cost == 27  # one full scan of the embedded domain
+    assert o.meter.queries == 1
+    assert o.meter.sim_evals == 27  # one full scan of the embedded domain
     qsim.coset_sample(o, dom, rng)
-    assert o.query_count == 2
-    assert o.simulation_cost == 27  # cached view: no rescan
+    assert o.meter.queries == 2
+    assert o.meter.sim_evals == 27  # cached view: no rescan
     # a fresh domain object means a fresh scan
     qsim.coset_sample(o, direct_domain((3, 9)), rng)
-    assert o.simulation_cost == 54
+    assert o.meter.sim_evals == 54
 
 
 def test_coset_sample_guard():
@@ -316,17 +316,6 @@ def test_fourier_sample_empirical_matches_distribution():
         assert abs(counts.get(outcome, 0) - mean) <= 3 * sigma
 
 
-def test_outcome_distribution_sample_is_exact_and_seedable():
-    o = orc.make_oracle(G351, sg.sg1m(1, 0, 1))
-    s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(14))
-    dist = qsim.fourier_distribution(s, (3, 9))
-    rng = random.Random(15)
-    draws = [dist.sample(rng) for _ in range(2000)]
-    assert set(draws) <= set(dist.probs)
-    rng2 = random.Random(15)
-    assert draws[:50] == [dist.sample(rng2) for _ in range(50)]
-
-
 # ---------------------------------------------------------------- dense reference
 
 BRANCH_CASES = [
@@ -405,12 +394,14 @@ def test_abelian_hsp_deterministic():
     assert g1 == g2
 
 
-def test_abelian_hsp_verifies_generators_with_queries():
+def test_abelian_hsp_verifies_generators_with_queries(monkeypatch):
+    seen = record_queries(monkeypatch)
     o = orc.make_oracle(G351, sg.sg2(2, 1))
-    before = o.query_count
-    gens = qsim.abelian_hsp(y_axis_domain(G351), o, random.Random(21))
-    # sampling queries plus one reference query plus one per returned generator
-    assert o.query_count >= before + len(gens) + 1
+    dom = y_axis_domain(G351)
+    gens = qsim.abelian_hsp(dom, o, random.Random(21))
+    # one reference query on the identity, then one per returned generator
+    assert seen[-1 - len(gens):] == [gr.IDENTITY, *(dom.embed(G351, g) for g in gens)]
+    assert o.meter.queries >= len(gens) + 1
 
 
 def test_character_samples_annihilate_hidden_subgroup():

@@ -7,9 +7,12 @@ import pytest
 
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
+from hsp_sdp import qsim
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
-from hsp_sdp.errors import PreconditionViolated
+from hsp_sdp.errors import PreconditionViolated, VerificationFailed
+
+from helpers import record_queries
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -151,13 +154,38 @@ def test_solve_deterministic_given_seed():
     assert run() == run()
 
 
-def test_solve_reports_distinct_rng_streams_for_distinct_seeds():
-    reps = {
-        solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=s).oracle_queries
-        for s in range(8)
-    }
-    # all runs recover the subgroup; query counts may vary with retries
-    assert len(reps) >= 1
+def test_solve_reports_distinct_rng_streams_for_distinct_seeds(monkeypatch):
+    streams: list[list] = []
+    sample = qsim.fourier_sample
+
+    def recording(s, dims, rng):
+        c = sample(s, dims, rng)
+        streams[-1].append(c)
+        return c
+
+    monkeypatch.setattr(qsim, "fourier_sample", recording)
+    for s in range(8):
+        streams.append([])
+        rep = solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=s)
+        assert rep.recovered == sg.sg2(1, 1)
+    assert len({tuple(chars) for chars in streams}) == 8
+
+
+def test_final_verification_queries_identity_then_each_generator(monkeypatch):
+    seen = record_queries(monkeypatch)
+    rep = solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=3)
+    gens = sg.generators(G351, rep.recovered)
+    assert seen[-1 - len(gens):] == [gr.IDENTITY, *gens]
+
+
+def test_final_verification_stops_at_first_generator_outside(monkeypatch):
+    # H = <x^3, y^3>; the faulty branch claims <x, y^3>, whose first
+    # generator x is already outside H
+    monkeypatch.setattr(solver, "solve_noncyclic_class1", lambda o, m, n, rng: sg.sg2(0, 1))
+    seen = record_queries(monkeypatch)
+    with pytest.raises(VerificationFailed, match=r"recovered generator \(1, 0\) is not"):
+        solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=3)
+    assert seen[-2:] == [gr.IDENTITY, (1, 0)]
 
 
 def test_solve_report_json_matches_schema():
@@ -182,8 +210,8 @@ def test_solve_first_try_rate_is_high():
 def test_solve_query_and_iteration_accounting():
     o = orc.make_oracle(G351, sg.sg1m(2, 0, 1))
     rep = solver.solve(o, seed=11)
-    assert rep.oracle_queries == o.query_count
-    assert rep.simulation_cost == o.simulation_cost
+    assert rep.oracle_queries == o.meter.queries
+    assert rep.simulation_cost == o.meter.sim_evals
     assert rep.iterations >= 3  # two axis recoveries plus at least one branch pass
     assert rep.iterations == o.meter.iterations
     assert rep.first_try == (o.meter.retries == 0)

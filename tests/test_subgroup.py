@@ -55,6 +55,47 @@ def test_descriptor_validation():
         sg.generators(G351, sg.sg1m(4, 4, 0))  # l=1 there, t must be < 3
 
 
+def _in_range_table(gp, form, i, t, j) -> bool:
+    """The module docstring's range table, restated as a predicate."""
+    p, r = gp.p, gp.r
+
+    def unit(t, modulus):
+        if modulus == 1:
+            return t == 1
+        return t is not None and 1 <= t < modulus and t % p != 0
+
+    if form == "sg1x":
+        return 0 <= i <= r and t is None and j is None
+    if form == "sg1m":
+        return j in (0, 1) and 0 <= i <= r and unit(t, p ** min(r - i, 2 - j))
+    if form == "sg2":
+        return 0 <= i < r and j in (0, 1) and t is None
+    if form == "sg3":
+        return 0 <= i < r and j is None and unit(t, p)
+    return False
+
+
+@pytest.mark.parametrize(
+    "p, r, tau, unclassified",
+    [(3, 5, 0, False), (3, 5, 1, False), (3, 5, 3, False), (5, 6, 1, False),
+     (3, 3, 1, True), (11, 5, 1, False)],
+)
+def test_validate_descriptor_accepts_exactly_the_range_table(p, r, tau, unclassified):
+    gp = gr.make_group(p, r, tau, allow_unclassified=unclassified)
+    ts = (None, -1, 0, 1, 2, p - 1, p, p + 1, p * p - 1, p * p, True)
+    grid = itertools.product(
+        ("sg1x", "sg1m", "sg2", "sg3", "sg4"), range(-1, r + 2), ts, (None, -1, 0, 1, 2)
+    )
+    for form, i, t, j in grid:
+        d = sg.Descriptor(form, i, t=t, j=j)
+        try:
+            sg.validate_descriptor(gp, d)
+            accepted = True
+        except InvalidDescriptor:
+            accepted = False
+        assert accepted == _in_range_table(gp, form, i, t, j), d
+
+
 def test_descriptor_json_round_trip():
     for d in sg.enumerate_catalog(G351):
         blob = json.dumps(sg.descriptor_to_json(d))
