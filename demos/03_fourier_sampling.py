@@ -32,6 +32,7 @@ from fractions import Fraction
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
+from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 
@@ -53,7 +54,7 @@ def main():
     print(f"  K generators in the register domain: {list(s.gens)}")
 
     print("\n== exact Fourier outcome distribution of that coset state ==")
-    dist = qsim.fourier_distribution(s, domain.dims)
+    dist = reference.fourier_distribution(s, domain.dims)
     for outcome in sorted(dist.probs):
         print(f"  character {outcome}  prob {dist.probs[outcome]}")
     uniform = set(dist.probs.values()) == {Fraction(1, len(dist.probs))}
@@ -72,9 +73,9 @@ def main():
     print(f"  informative fraction {hits}/{draws} (expected about 2/3)")
 
     print("\n== exact sampler vs dense state-vector reference ==")
-    exact = qsim.branch_mixture_distribution(o, domain)
-    dense = qsim.dense_reference_distribution(o, domain)
-    tv = qsim.total_variation(exact, dense)
+    exact = reference.branch_mixture_distribution(o, domain)
+    dense = reference.dense_reference_distribution(o, domain)
+    tv = reference.total_variation(exact, dense)
     print(f"  outcomes in the mixture: {len(exact.probs)}")
     print(f"  total variation distance: {tv:.3e}")
 

@@ -10,7 +10,8 @@ numtheory   modular arithmetic helpers (exact, guarded)
 group       group parameters and element arithmetic
 subgroup    descriptor catalog, normal forms, brute-force lattice
 oracle      hiding-function oracles with query accounting
-qsim        coset sampling, Fourier outcome distributions, abelian HSP
+qsim        closed-form coset sampling, Fourier sampling, abelian HSP
+reference   test-only level-set scan and exact / dense outcome distributions
 solver      the full recovery state machine with verified output
 composite   reduction for composite-order x-coordinate groups
 cli         command line front end (enumerate / solve / sweep / verify-catalog)

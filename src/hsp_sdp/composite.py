@@ -127,8 +127,8 @@ class FactorOracle(orc.HidingOracle):
     Embeds factor elements into the parent through the CRT unit (a group
     homomorphism, because the unit is 0 mod every other slot) and charges
     every query and simulation evaluation to the parent's meter, which it
-    shares. Its labels come from the parent's label functions, so it skips
-    HidingOracle.__init__, which builds them from the hidden subgroup.
+    shares. Its labels and its hidden table come from the parent's, so it
+    skips HidingOracle.__init__, which builds them from the hidden subgroup.
     """
 
     def __init__(self, parent, semidirect: gr.GroupParams, crt_unit: int):
@@ -143,6 +143,15 @@ class FactorOracle(orc.HidingOracle):
 
     def _label_array(self, a, b):
         return self._parent._label_array(a * self._unit % self._parent.group.x_mod, b)
+
+    def _sim_table(self):
+        """The table of the p-part of the parent's H: its step is the p-part
+        d_p of the parent step, and its offsets are the parent's mod d_p (H
+        splits along the coprime factors, so every parent offset is 0 in the
+        other slots and (a * unit, b) lies in row (b, a_b) iff a == a_b mod d_p)."""
+        d, reps = self._parent._sim_table()
+        d_p = math.gcd(d, self.group.x_mod)
+        return d_p, tuple((b, a % d_p) for b, a in reps)
 
 
 @dataclass(frozen=True)

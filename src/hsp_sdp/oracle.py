@@ -7,12 +7,16 @@ as a*p^2 + b; solvers must treat labels as equality-only tokens.
 
 Accounting: every oracle owns one Meter, and every cost a report gives is a
 difference of two readings of it. query() and charge_superposition_query()
-count one query each; _sim_eval() counts one simulation evaluation instead
-(simulator-side work such as domain scans, never visible to the algorithm
-being costed), and _sim_eval_array() one per element it labels. Membership
-checks go through first_outside(gens): one query for the identity, then one
-per element until the first one outside H. Las Vegas loops call
-meter.attempt(k) once per attempt.
+count one query each. Simulator-side work, never visible to the algorithm
+being costed, counts as simulation evaluations instead: _sim_table() one per
+row of the hidden table it hands to qsim, _sim_eval() one per label, and
+_sim_eval_array() one per element it labels. Membership checks go through
+first_outside(gens): one query for the identity, then one per element until
+the first one outside H. Las Vegas loops call meter.attempt(k) once per
+attempt.
+
+Scalar labels and queries work on Python ints at any group size; only the
+int64 array labelling of the reference scan has a size guard.
 """
 
 from __future__ import annotations
@@ -76,16 +80,13 @@ class HidingOracle:
     """
 
     def __init__(self, group: gr.SemidirectGroup, hidden_table: sg.SubgroupTable):
-        if group.order > ORACLE_GUARD:
-            raise TooLarge(f"group order {group.order} exceeds the 2^24 oracle guard")
         self.group = group
-        self._hidden = hidden_table  # sealed: solvers must not read this
         self.meter = Meter()
         self._apow = gr._alpha_pows(group)
-        self._apow_array = np.array(self._apow, dtype=np.int64)
+        # sealed: only the label functions and _sim_table read the hidden table
         self._reps = hidden_table.reps
         self._d = hidden_table.x_step
-        self._domain_views: dict = {}  # qsim.Domain -> its level-set scan
+        self._domain_views: dict = {}  # qsim.Domain -> its closed-form level sets
 
     def _label(self, g: gr.Element) -> Label:
         a, b = g
@@ -108,15 +109,19 @@ class HidingOracle:
         candidate is the lex-least (ca, cb) because cb < y_mod. All but a % d
         depends on b alone, so it comes from a y_mod-entry table per rep, and
         the sum passes d * y_mod at most once. Every intermediate stays below
-        x_mod^2 < 2^48 under the oracle guard, so int64 arithmetic is exact.
+        x_mod^2 < 2^48 under ORACLE_GUARD, so int64 arithmetic is exact; larger
+        groups raise TooLarge.
         """
+        if self.group.order > ORACLE_GUARD:
+            raise TooLarge(f"group order {self.group.order} exceeds the 2^24 array guard")
         y_mod, d = self.group.y_mod, self._d
         wrap = d * y_mod
         a_part = a % d * y_mod
         ys = np.arange(y_mod)
+        apow = np.array(self._apow, dtype=np.int64)
         best = None
         for rb, ra in self._reps:
-            table = self._apow_array * ra % d * y_mod + (ys + rb) % y_mod
+            table = apow * ra % d * y_mod + (ys + rb) % y_mod
             packed = a_part + table[b]
             packed -= wrap * (packed >= wrap)
             best = packed if best is None else np.minimum(best, packed, out=best)
@@ -138,6 +143,12 @@ class HidingOracle:
     def charge_superposition_query(self) -> None:
         """One oracle call made in superposition counts as one query."""
         self.meter.queries += 1
+
+    def _sim_table(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(x_step, reps) of the hidden table, for qsim's closed-form level
+        sets; charged as one simulation evaluation per row."""
+        self.meter.sim_evals += len(self._reps)
+        return self._d, self._reps
 
     def _sim_eval(self, g: gr.Element) -> Label:
         self.meter.sim_evals += 1

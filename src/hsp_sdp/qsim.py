@@ -9,48 +9,56 @@ and measure. Classically that is:
     coset_sample     draw the post-collapse support (a coset of K)
     fourier_sample   draw one Fourier outcome (uniform on the annihilator)
 
-The level sets behind coset_sample come from one array pass per (oracle,
-domain): the domain's linear embedding is evaluated on int64 index arrays
-covering the whole register (C order) and the oracle labels them all at once.
+Neither needs the labels of the register points. The base point is uniform
+and independent of K, and the outcome law depends only on K. So K =
+embed^-1(H) is read in closed form from the hidden SubgroupTable (x-step d,
+one x-offset a_b per y-value b) through the oracle's sealed _sim_table
+accessor: O(|table rows|) <= p^2 work, charged as one simulation evaluation
+per row and cached per (oracle, Domain). The solver and composite domains
+have one of the shapes
 
-Outcome probabilities are exact rationals: for a coset support the Fourier
-amplitude at character c is a root-of-unity sum that is either |S| (character
-trivial on K) or sweeps a nontrivial cyclic subgroup of phases uniformly and
-cancels to exactly zero. fourier_distribution performs that direct summation
-with integer phase bookkeeping; dense_reference_distribution redoes it with
-complex-double matrices as an independent floating-point cross-check.
+    (u,) -> x^(s u)      (v,) -> y^v      (u, v) -> x^(s u) y^v
+
+and (s u, v) lies in H iff row v exists and s u == a_v (mod d). The
+generators follow the reference scan's rule, "the first point of K in C
+order outside the span so far": (0, v0) with v0 the least nonzero v in row
+u = 0 of K, if any, then (u1, v1) with u1 the least positive u of K's
+u-projection (which generates it) and v1 the least v in that row. Any other
+shape raises PreconditionViolated.
+
+Level sets are cosets of K when embed(u)^-1 embed(w) lies in H exactly when
+embed(w - u) does. On register dims (n, n_v) the two differ by a left factor
+x^delta, delta an integer combination of s n and s (alpha^k - 1), and a
+right factor y^(n_v j). As alpha - 1 divides alpha^k - 1, it suffices that
+x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
+
+    x axis, y axis, crt axes   homomorphisms into G
+    <x^(p^s), y> (abelian      p^s (alpha - 1) == 0 mod p^r: s = 2 for class1,
+      route, tau = 0 section)  s = 1 for class2, alpha = 1 for tau = 0
+    constraint routine         x^(p^m) in H; alpha == 1 (mod p^(r-2)) with
+                               m <= 3 <= r-2; y^p in H when n = 1
+    abelianization section     H contains the commutator <x^q>, q = p^(r-c),
+      (u, v) on Z_q x Z_(p^2)  and x^(alpha - 1) lies in it
+
+reference.level_set_scan labels every point and checks the coset structure
+by brute force; the tests pin the closed form against it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from . import group as gr
 from . import numtheory as nt
-from .errors import (
-    DimensionMismatch,
-    PreconditionViolated,
-    RetriesExhausted,
-    TooLarge,
-)
+from .errors import DimensionMismatch, PreconditionViolated, RetriesExhausted
 
 #: extra character samples beyond log2(|domain|) per recovery attempt
 KAPPA = 10
 #: Las Vegas retry budget
 RETRIES = 20
-
-COSET_GUARD = 2**20
-DENSE_GUARD = 2**14
-#: below this domain size every level set is verified to be a coset in full
-FULL_VALIDATE_LIMIT = 4096
 
 Register = tuple[int, ...]
 
@@ -137,14 +145,11 @@ class Domain:
     """A register Z_dims mapped linearly into the ambient group.
 
     Register coordinate j steps by axes[j] = (dx_j, dy_j), so u embeds as
-    (sum_j u_j dx_j mod x_mod, sum_j u_j dy_j mod y_mod). The same formula
-    runs on Python ints and on int64 index arrays: u_j < 2^20 (COSET_GUARD)
-    and dx_j is reduced below x_mod < 2^24 (ORACLE_GUARD), so each term is
-    below 2^44 and a sum of at most 20 terms below 2^49.
+    (sum_j u_j dx_j mod x_mod, sum_j u_j dy_j mod y_mod).
 
-    Hashed by identity on purpose: the per-oracle level-set scan is cached
-    per (oracle, domain object), so reusing one Domain across samples costs
-    one scan total, and a fresh Domain means a fresh scan.
+    Hashed by identity on purpose: the level-set view is cached per (oracle,
+    domain object), so reusing one Domain across samples costs one table
+    read total, and a fresh Domain means a fresh read.
     """
 
     dims: Register
@@ -159,64 +164,56 @@ class Domain:
 
 
 class _DomainView(NamedTuple):
-    labels: np.ndarray  # level-set label of every register point, C order
     k_gens: tuple[Register, ...]
     ann: tuple[Register, ...]  # dual_kernel(dims, k_gens)
 
 
-def _point(flat: int, dims: Register) -> Register:
-    return tuple(int(c) for c in np.unravel_index(flat, dims))
-
-
-def _span_mask(dims: Register, coords, ann) -> np.ndarray:
-    """Membership in span(gens) given ann = dual_kernel(dims, gens):
-    <u, w> == 0 (mod L) for every w in ann (the double annihilator is the span)."""
-    L = math.lcm(*dims)
-    mask = np.ones(coords[0].size, dtype=bool)
-    for w in ann:
-        pairing = sum(c * (wj * (L // n) % L) for c, wj, n in zip(coords, w, dims))
-        mask &= pairing % L == 0
-    return mask
+def _shape(domain: Domain, y_mod: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """(n, s, n_v, kept) for a domain read as (u, v) -> x^(s u) y^v on
+    Z_n x Z_n_v; kept lists which of (u, v) are register coordinates."""
+    dims, axes = domain.dims, domain.axes
+    if len(dims) == len(axes) == 1 and axes[0] == (0, 1) and y_mod % dims[0] == 0:
+        return 1, 0, dims[0], (1,)
+    if len(dims) == len(axes) == 1 and axes[0][1] == 0:
+        return dims[0], axes[0][0], 1, (0,)
+    if (
+        len(dims) == len(axes) == 2
+        and axes[0][1] == 0
+        and axes[1] == (0, 1)
+        and y_mod % dims[1] == 0
+    ):
+        return dims[0], axes[0][0], dims[1], (0, 1)
+    raise PreconditionViolated(
+        f"domain {domain.name!r}: no closed-form level sets for axes {domain.axes} "
+        f"on dims {dims}"
+    )
 
 
 def _domain_view(o, domain: Domain) -> _DomainView:
     view = o._domain_views.get(domain)
     if view is not None:
         return view
-    dims = domain.dims
-    coords = np.unravel_index(np.arange(math.prod(dims)), dims)
-    labels = o._sim_eval_array(*domain.embed(o.group, coords))
-    # K generators: repeatedly the first point of K, in sorted (= C) order,
-    # outside the span of the generators so far.
-    in_k = labels == labels[0]
-    k_gens: list[Register] = []
-    while True:
-        ann = dual_kernel(dims, k_gens)
-        span = _span_mask(dims, coords, ann)
-        outside = in_k & ~span
-        if not outside.any():
+    n, s, n_v, kept = _shape(domain, o.group.y_mod)
+    d, reps = o._sim_table()
+    g = math.gcd(s, d)
+    step = d // g  # the solutions u of s u == a (mod d) repeat with this period
+    inv = pow(s // g, -1, step) if step > 1 else 0
+    v0 = u1 = v1 = None
+    for b, a in reps:  # sorted by b
+        if b >= n_v:
             break
-        k_gens.append(_point(int(np.argmax(outside)), dims))
-    if np.any(span != in_k):
-        raise PreconditionViolated(
-            f"identity level set of domain {domain.name!r} is not a register subgroup"
-        )
-    k_size = int(np.count_nonzero(in_k))
-    _, counts = np.unique(labels, return_counts=True)
-    if np.any(counts != k_size):
-        raise PreconditionViolated(
-            f"level sets of domain {domain.name!r} have unequal sizes"
-        )
-    if labels.size <= FULL_VALIDATE_LIMIT:
-        # rows: the points of one level set, in C order. A row less its first
-        # point is |K| distinct points, so it equals K iff it lies in K.
-        rows = np.argsort(labels, kind="stable").reshape(-1, k_size)
-        shifted = [(c[rows] - c[rows[:, :1]]) % n for c, n in zip(coords, dims)]
-        if not np.all(span[np.ravel_multi_index(shifted, dims)]):
-            raise PreconditionViolated(
-                f"a level set of domain {domain.name!r} is not a coset of K"
-            )
-    view = _DomainView(labels=labels, k_gens=tuple(k_gens), ann=tuple(ann))
+        if a % g:
+            continue
+        u = a // g * inv % step  # least u >= 0 with s u == a (mod d)
+        if u == 0:
+            if b and v0 is None:
+                v0 = b
+            u = step
+        if u < n and (u1 is None or u < u1):
+            u1, v1 = u, b
+    gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
+    k_gens = tuple(tuple(pt[i] for i in kept) for pt in gens)
+    view = _DomainView(k_gens=k_gens, ann=tuple(dual_kernel(domain.dims, k_gens)))
     o._domain_views[domain] = view
     return view
 
@@ -226,102 +223,48 @@ def _domain_view(o, domain: Domain) -> _DomainView:
 
 @dataclass(frozen=True)
 class CosetSupport:
-    """Post-measurement support: a coset base + K of the register domain.
+    """Post-measurement support: the coset base + K of the register domain.
 
-    `labels` are the level-set labels of the whole domain in C order; the
-    support is the level set of `base`, materialized only when read.
+    The points are materialized from base and generators only when read.
     """
 
     dims: Register
     base: Register
     gens: tuple[Register, ...]  # generators of K, shared by every sample
     ann: tuple[Register, ...]  # generators of the annihilator of K
-    labels: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def points(self) -> frozenset:
-        flat = np.ravel_multi_index(self.base, self.dims)
-        members = np.flatnonzero(self.labels == self.labels[flat])
-        coords = np.unravel_index(members, self.dims)
-        return frozenset(zip(*(c.tolist() for c in coords)))
+        pts = {self.base}
+        for g in self.gens:
+            layer = pts
+            while True:  # pts + k g for k = 1, 2, ... until it closes up
+                layer = {_add(u, g, self.dims) for u in layer}
+                if layer <= pts:
+                    break
+                pts |= layer
+        return frozenset(pts)
 
 
 def coset_sample(o, domain: Domain, rng) -> CosetSupport:
     """One superposed query + label measurement: costs exactly one query.
 
-    The first call per (oracle, domain) runs the level-set scan: one array
-    pass of the embedding and the label function over the whole domain, counted
-    as |domain| simulation evaluations. Later calls reuse the cached scan.
+    The first call per (oracle, domain) reads K in closed form from the
+    hidden table, counted as one simulation evaluation per table row. Later
+    calls reuse the cached view.
     """
-    if math.prod(domain.dims) > COSET_GUARD:
-        raise TooLarge(f"domain size {math.prod(domain.dims)} exceeds 2^20 guard")
     view = _domain_view(o, domain)
     base = tuple(rng.randrange(n) for n in domain.dims)
     o.charge_superposition_query()
-    return CosetSupport(domain.dims, base, view.k_gens, view.ann, view.labels)
-
-
-def _level_sets(view: _DomainView, dims: Register) -> list[CosetSupport]:
-    """One support per level set, ordered by least point."""
-    _, firsts = np.unique(view.labels, return_index=True)
-    return [
-        CosetSupport(dims, _point(f, dims), view.k_gens, view.ann, view.labels)
-        for f in np.sort(firsts)
-    ]
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Exact measurement distribution: outcome tuple -> Fraction, zero omitted."""
-
-    dims: Register
-    probs: dict
-
-    def prob(self, outcome) -> Fraction:
-        return self.probs.get(tuple(outcome), Fraction(0))
-
-
-def fourier_distribution(s: CosetSupport, dims) -> OutcomeDistribution:
-    """Direct amplitude summation over the support, exact rationals.
-
-    For each outcome the root-of-unity phases are either all zero relative to
-    the base point (probability |S| / |domain|) or sweep a nontrivial cyclic
-    phase subgroup uniformly (amplitude exactly zero); anything else means the
-    support was not a coset and is reported loudly.
-    """
-    dims = tuple(dims)
-    if dims != s.dims:
-        raise DimensionMismatch(f"support dims {s.dims} vs requested {dims}")
-    L = math.lcm(*dims)
-    weights = [L // n for n in dims]
-    pts = sorted(s.points)
-    size = len(pts)
-    n_total = math.prod(dims)
-    hit = Fraction(size, n_total)
-    probs: dict = {}
-    for c in itertools.product(*(range(n) for n in dims)):
-        phases = [
-            sum(cj * uj * wj for cj, uj, wj in zip(c, u, weights)) % L for u in pts
-        ]
-        rel = Counter((v - phases[0]) % L for v in phases)
-        if set(rel) == {0}:
-            probs[c] = hit
-            continue
-        g = reduce(math.gcd, rel.keys(), L)
-        cycle = list(range(0, L, g))
-        if set(rel) != set(cycle) or set(rel.values()) != {size // len(cycle)}:
-            raise AssertionError("support phases are not a uniform phase subgroup")
-    if sum(probs.values()) != 1:
-        raise AssertionError("outcome probabilities must sum to exactly 1")
-    return OutcomeDistribution(dims=dims, probs=probs)
+    return CosetSupport(domain.dims, base, view.k_gens, view.ann)
 
 
 def fourier_sample(s: CosetSupport, dims, rng) -> Register:
-    """One draw from fourier_distribution(s) without materializing it.
+    """One draw from the outcome law of the coset state s, uniform on the
+    annihilator of K (reference.fourier_distribution derives it by summation).
 
-    The outcome law is uniform on the annihilator of K; summing uniform
-    multiples of the annihilator generators is a surjective homomorphism from
-    Z_L^k onto it, hence uniform.
+    Summing uniform multiples of the annihilator generators is a surjective
+    homomorphism from Z_L^k onto it, hence uniform.
     """
     dims = tuple(dims)
     if dims != s.dims:
@@ -331,60 +274,6 @@ def fourier_sample(s: CosetSupport, dims, rng) -> Register:
     for g in s.ann:
         c = _add(c, _scale(rng.randrange(L), g, dims), dims)
     return c
-
-
-# ------------------------------------------------------------ dense reference
-
-
-def dense_reference_distribution(o, domain: Domain) -> dict:
-    """Floating-point cross-check: full state vector + QFT matrices.
-
-    Returns {outcome: probability} as floats; mixes the post-measurement
-    branches by their label probabilities.
-    """
-    dims = domain.dims
-    n_total = math.prod(dims)
-    if n_total > DENSE_GUARD:
-        raise TooLarge(f"domain size {n_total} exceeds 2^14 dense guard")
-    view = _domain_view(o, domain)
-    mats = []
-    for n in dims:
-        idx = np.arange(n)
-        mats.append(np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n))
-    out = np.zeros(dims, dtype=float)
-    for s in _level_sets(view, dims):
-        pts = s.points
-        amp = np.zeros(dims, dtype=complex)
-        a0 = 1.0 / math.sqrt(len(pts))
-        for pt in pts:
-            amp[pt] = a0
-        for axis in range(len(dims)):
-            amp = np.moveaxis(
-                np.tensordot(mats[axis], amp, axes=([1], [axis])), 0, axis
-            )
-        out += (np.abs(amp) ** 2) * (len(pts) / n_total)
-    return {tuple(map(int, idx)): float(out[idx]) for idx in np.ndindex(*dims)}
-
-
-def branch_mixture_distribution(o, domain: Domain) -> OutcomeDistribution:
-    """Exact mixture over all level sets: sum_labels P(label) P(outcome|label)."""
-    view = _domain_view(o, domain)
-    dims = domain.dims
-    n_total = math.prod(dims)
-    acc: dict = {}
-    for s in _level_sets(view, dims):
-        dist = fourier_distribution(s, dims)
-        weight = Fraction(len(s.points), n_total)
-        for c, p in dist.probs.items():
-            acc[c] = acc.get(c, Fraction(0)) + weight * p
-    return OutcomeDistribution(dims=dims, probs=acc)
-
-
-def total_variation(exact: OutcomeDistribution, dense: dict) -> float:
-    keys = set(exact.probs) | set(dense)
-    return 0.5 * sum(
-        abs(float(exact.prob(k)) - dense.get(k, 0.0)) for k in keys
-    )
 
 
 # ------------------------------------------------------------ abelian HSP

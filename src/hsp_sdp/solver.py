@@ -239,11 +239,9 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         recovered = _section(o, gp.x_mod, 1, 0, rng, "abelian")
         strategy_used = STRATEGY_ABELIAN_ONLY
         branch = "abelian/direct-product"
-        table = sg.table_for(gp, recovered)
-        m = table.x_intersection_val(gp.p)
-        n = table.y_intersection_val(gp.p)
+        measured = None
     else:
-        m, n = find_m_n(o, rng)
+        m, n = measured = find_m_n(o, rng)
         cyc = classify_cyclicity(m, n, gp.r)
         branch = f"{gp.class_tag}/{cyc}/m={m}"
         if choice == "abelianization":
@@ -267,14 +265,15 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
 
     # Final verification: every generator of the recovered subgroup must sit
     # in the same coset as the identity, and the recovered table must show
-    # the measured axis depths.
+    # the axis depths find_m_n measured (the abelian case measures none).
     outside = o.first_outside(sg.generators(gp, recovered))
     if outside is not None:
         raise VerificationFailed(
             f"recovered generator {outside} is not in the hidden subgroup"
         )
     table = sg.table_for(gp, recovered)
-    if (table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)) != (m, n):
+    m, n = table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)
+    if measured is not None and (m, n) != measured:
         raise VerificationFailed(
             "recovered subgroup disagrees with the measured axis depths"
         )

@@ -14,6 +14,7 @@ from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
+from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import RetriesExhausted, VerificationFailed
@@ -124,9 +125,9 @@ def test_acceptance_5_structured_vs_dense(acceptance_log):
     for gp, d, dims, axes in cases:
         o = orc.make_oracle(gp, d)
         domain = qsim.Domain(dims, axes)
-        exact = qsim.branch_mixture_distribution(o, domain)
-        dense = qsim.dense_reference_distribution(o, domain)
-        worst = max(worst, qsim.total_variation(exact, dense))
+        exact = reference.branch_mixture_distribution(o, domain)
+        dense = reference.dense_reference_distribution(o, domain)
+        worst = max(worst, reference.total_variation(exact, dense))
     ok = worst < 1e-9
     _report(
         acceptance_log, 5,

@@ -122,6 +122,17 @@ def test_golden_report_unchanged(idx):
     assert json.dumps(got, sort_keys=True) == json.dumps(entry, sort_keys=True)
 
 
+def test_golden_reports_label_no_register_arrays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a solve labelled a register array")
+
+    for owner in (orc.HidingOracle, cx.FactorOracle):
+        monkeypatch.setattr(owner, "_label_array", refuse)
+    monkeypatch.setattr(orc.HidingOracle, "_sim_eval_array", refuse)
+    for entry in _load():
+        assert json.dumps(_rerun(entry), sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_reports.py --write")

@@ -137,10 +137,13 @@ def test_brute_force_recover_guard():
         orc.brute_force_recover(o)
 
 
-def test_make_oracle_guard():
+def test_label_array_guard():
     gp = gr.make_group(3, 14, 1)  # order 3^16 > 2^24
+    o = orc.make_oracle(gp, sg.sg1x(1))  # <x^3>; scalar labels take any size
+    assert o.query((3, 0)) == o.query(gr.IDENTITY) != o.query((1, 0))
+    a = np.array([0, 1], dtype=np.int64)
     with pytest.raises(TooLarge):
-        orc.make_oracle(gp, sg.sg1x(1))
+        o._sim_eval_array(a, a)
 
 
 def test_make_oracle_from_generators():

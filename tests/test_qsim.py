@@ -7,9 +7,11 @@ from typing import Callable
 
 import pytest
 
+from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
+from hsp_sdp import reference
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
     DimensionMismatch,
@@ -20,8 +22,10 @@ from hsp_sdp.errors import (
 
 from helpers import record_queries, register_span
 
+G350 = gr.make_group(3, 5, 0)
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
+G561 = gr.make_group(5, 6, 1)
 
 
 def direct_domain(dims):
@@ -114,20 +118,21 @@ def test_coset_sample_accounting_and_cache():
     rng = random.Random(2)
     qsim.coset_sample(o, dom, rng)
     assert o.meter.queries == 1
-    assert o.meter.sim_evals == 27  # one full scan of the embedded domain
+    # one read of the hidden table: H = <x y^3> has the rows b = 0, 3, 6
+    assert o.meter.sim_evals == 3
     qsim.coset_sample(o, dom, rng)
     assert o.meter.queries == 2
-    assert o.meter.sim_evals == 27  # cached view: no rescan
-    # a fresh domain object means a fresh scan
+    assert o.meter.sim_evals == 3  # cached view: no recompute
+    # a fresh domain object means a fresh computation
     qsim.coset_sample(o, direct_domain((3, 9)), rng)
-    assert o.meter.sim_evals == 54
+    assert o.meter.sim_evals == 6
 
 
 def test_coset_sample_guard():
     o = orc.make_oracle(G351, sg.sg1x(1))
     big = qsim.Domain((2048, 1024), ((0, 0), (0, 0)), name="huge")
     with pytest.raises(TooLarge):
-        qsim.coset_sample(o, big, random.Random(3))
+        reference.level_set_scan(o, big)
 
 
 def test_coset_points_share_label():
@@ -150,16 +155,66 @@ def first_outside_span_gens(dims, k_points):
     return tuple(gens)
 
 
-@pytest.mark.parametrize("gp", [G351, G353])
+def solver_domains(gp):
+    """Every register domain solver.solve builds on gp, for any hidden subgroup:
+    both axes, the abelian route <x^(p^s), y> at the scales its class uses
+    (class1 s = 2, class2 s = 1; both on the abelian group), the
+    abelianization section or the tau = 0 section, and the constraint
+    routine's cyclic m = 1..3 and noncyclic m = 1..2 registers."""
+    p, x_mod, y_mod = gp.p, gp.x_mod, gp.y_mod
+    scales = {gr.CLASS1: (2,), gr.CLASS2: (1, 2), gr.CLASS_ABELIAN: (1, 2)}
+    doms = [x_axis_domain(gp), y_axis_domain(gp)]
+    for k in scales[gp.class_tag]:
+        doms.append(qsim.Domain((x_mod // p**k, y_mod), ((p**k, 0), (0, 1)), f"route-{k}"))
+    if gp.class_tag == gr.CLASS_ABELIAN:
+        doms.append(qsim.Domain((x_mod, y_mod), ((1, 0), (0, 1)), "abelian"))
+    else:
+        q = p ** (gp.r - gr.commutator_depth(gp))
+        doms.append(qsim.Domain((q, y_mod), ((1, 0), (0, 1)), "abelianization"))
+    doms += [qsim.Domain((p**m, y_mod), ((1, 0), (0, 1)), f"cyclic-m{m}") for m in (1, 2, 3)]
+    doms += [qsim.Domain((p, p), ((p ** (m - 1), 0), (0, 1)), f"noncyclic-m{m}") for m in (1, 2)]
+    return doms
+
+
+def coset_conditions(gp, table, dom) -> bool:
+    """The qsim docstring's sufficient conditions for the level sets of
+    (u[, v]) -> x^(s u) [y^v] to be cosets of K: x^(s n) lies in H and, for a
+    two-register domain, y^(n_v) and x^(s (alpha - 1)) lie in H too."""
+    if dom.axes == ((0, 1),):
+        return True  # the y axis is a homomorphism into G
+    s, n = dom.axes[0][0], dom.dims[0]
+    needs = [(s * n % gp.x_mod, 0)]
+    if len(dom.dims) == 2:
+        needs += [(0, dom.dims[1] % gp.y_mod), (s * (gp.alpha - 1) % gp.x_mod, 0)]
+    return all(table.contains(g) for g in needs)
+
+
+def assert_closed_form_matches_scan(o, table, dom, label) -> bool:
+    """The closed-form (gens, ann) equal the reference scan's wherever the scan
+    accepts the domain; the scan must accept it when coset_conditions hold.
+    Returns whether the scan accepted it."""
+    try:
+        scan = reference.level_set_scan(o, dom)
+    except PreconditionViolated:
+        assert not coset_conditions(o.group, table, dom), (label, dom.name)
+        return False
+    s = qsim.coset_sample(o, dom, random.Random(0))
+    assert (s.gens, s.ann) == (scan.k_gens, scan.ann), (label, dom.name)
+    return True
+
+
+@pytest.mark.parametrize("gp", [G351, G353, G350, G561])
 def test_k_gens_follow_first_point_outside_span(gp):
-    domains = [
+    # literal check, |domain| queries per subgroup and domain: at p = 3 only
+    literal = [
         qsim.Domain((27, 9), ((9, 0), (0, 1)), name="plane"),
         x_axis_domain(gp),
         y_axis_domain(gp),
-    ]
+    ] if gp.p == 3 else []
+    accepted = 0  # (subgroup, domain) pairs the scan accepts
     for descr in sg.enumerate_catalog(gp):
         o = orc.make_oracle(gp, descr)
-        for dom in domains:
+        for dom in literal:
             s = qsim.coset_sample(o, dom, random.Random(0))
             ref = o.query(dom.embed(gp, qsim._zero(dom.dims)))
             k_points = [
@@ -168,6 +223,34 @@ def test_k_gens_follow_first_point_outside_span(gp):
             ]
             assert s.gens == first_outside_span_gens(dom.dims, k_points), descr
             assert s.ann == tuple(qsim.dual_kernel(dom.dims, s.gens)), descr
+        table = sg.table_for(gp, descr)
+        for dom in solver_domains(gp):
+            accepted += assert_closed_form_matches_scan(o, table, dom, descr)
+    # nearly every pair is compared; the rest fail coset_conditions
+    assert accepted >= 0.9 * len(sg.enumerate_catalog(gp)) * len(solver_domains(gp))
+
+
+def test_closed_form_matches_scan_on_composite_domains():
+    # N = 1215 = 3^5 * 5, both twists: every p-part subgroup, with the Z_5
+    # slot trivial or full, on the factor view of the oracle, and the crt-5
+    # axis on the parent oracle
+    for alpha in (271, 811):
+        dec = cx.decompose(cx.make_composite(1215, 3, alpha))
+        unit5 = dec.abelian[0].crt_unit
+        crt_axis = qsim.Domain((5,), ((unit5, 0),), name="crt-5")
+        for descr in sg.enumerate_catalog(dec.semidirect):
+            table = sg.table_for(dec.semidirect, descr)
+            lifted = [(a * dec.p_crt_unit % 1215, b)
+                      for a, b in sg.generators(dec.semidirect, descr)]
+            for slot in ([], [(unit5, 0)]):
+                o = orc.make_oracle_from_generators(dec.parent, lifted + slot)
+                fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
+                assert fo._sim_table() == (table.x_step, table.reps)
+                label = (alpha, descr, slot)
+                for dom in solver_domains(dec.semidirect):
+                    assert_closed_form_matches_scan(fo, table, dom, label)
+                parent_table = sg.SubgroupTable.from_generators(dec.parent, lifted + slot)
+                assert assert_closed_form_matches_scan(o, parent_table, crt_axis, label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +278,7 @@ def test_scan_rejects_identity_level_set_that_is_not_a_subgroup():
     for descr, dom in cases:
         o = orc.make_oracle(G351, descr)
         with pytest.raises(PreconditionViolated, match="not a register subgroup"):
-            qsim.coset_sample(o, dom, random.Random(30))
+            reference.level_set_scan(o, dom)
 
 
 def test_scan_rejects_unequal_level_set_sizes():
@@ -208,7 +291,7 @@ def test_scan_rejects_unequal_level_set_sizes():
     for dom in cases:
         o = orc.make_oracle(G351, sg.sg1x(2))
         with pytest.raises(PreconditionViolated, match="unequal sizes"):
-            qsim.coset_sample(o, dom, random.Random(31))
+            reference.level_set_scan(o, dom)
 
 
 def test_scan_rejects_level_set_that_is_not_a_coset():
@@ -219,7 +302,21 @@ def test_scan_rejects_level_set_that_is_not_a_coset():
         (3, 3), (), name="twisted", f=lambda pt: 3 * pt[1] * (1 + pt[0] * pt[0])
     )
     with pytest.raises(PreconditionViolated, match="not a coset of K"):
-        qsim.coset_sample(o, dom, random.Random(32))
+        reference.level_set_scan(o, dom)
+
+
+def test_coset_sample_rejects_domains_without_closed_form():
+    o = orc.make_oracle(G351, sg.sg1x(2))
+    for dom in (
+        qsim.Domain((3, 3), ((0, 1), (1, 0)), name="swapped"),
+        qsim.Domain((3, 3), ((0, 1), (0, 1)), name="diagonal"),
+        qsim.Domain((3,), ((1, 1),), name="skew"),
+        qsim.Domain((27,), ((0, 1),), name="long-y"),
+        CurvedDomain((9,), (), name="quad", f=lambda pt: pt[0] * (pt[0] - 1)),
+    ):
+        with pytest.raises(PreconditionViolated, match="no closed-form level sets"):
+            qsim.coset_sample(o, dom, random.Random(0))
+    assert o.meter.queries == 0
 
 
 # ---------------------------------------------------------------- fourier_distribution
@@ -227,7 +324,7 @@ def test_scan_rejects_level_set_that_is_not_a_coset():
 def test_fourier_distribution_mixed_cyclic():
     o = orc.make_oracle(G351, sg.sg1m(1, 0, 1))
     s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(5))
-    dist = qsim.fourier_distribution(s, (3, 9))
+    dist = reference.fourier_distribution(s, (3, 9))
     want = {
         (c1, c2): Fraction(1, 9)
         for c1 in range(3)
@@ -241,7 +338,7 @@ def test_fourier_distribution_mixed_cyclic():
 def test_fourier_distribution_singleton_support():
     o = orc.make_oracle(G351, sg.sg1x(1))
     s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(6))
-    dist = qsim.fourier_distribution(s, (3, 9))
+    dist = reference.fourier_distribution(s, (3, 9))
     assert len(dist.probs) == 27
     assert set(dist.probs.values()) == {Fraction(1, 27)}
 
@@ -249,7 +346,7 @@ def test_fourier_distribution_singleton_support():
 def test_fourier_distribution_full_support_is_point_mass():
     o = orc.make_oracle(G351, sg.sg2(0, 0))
     s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(7))
-    dist = qsim.fourier_distribution(s, (3, 9))
+    dist = reference.fourier_distribution(s, (3, 9))
     assert dist.probs == {(0, 0): Fraction(1)}
 
 
@@ -257,7 +354,7 @@ def test_fourier_distribution_dimension_mismatch():
     o = orc.make_oracle(G351, sg.sg1x(1))
     s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(8))
     with pytest.raises(DimensionMismatch):
-        qsim.fourier_distribution(s, (9, 9))
+        reference.fourier_distribution(s, (9, 9))
 
 
 def test_fourier_distribution_probability_independent_of_base():
@@ -265,8 +362,8 @@ def test_fourier_distribution_probability_independent_of_base():
     o = orc.make_oracle(G351, sg.sg1m(2, 0, 1))
     dom = direct_domain((3, 9))
     rng = random.Random(9)
-    d1 = qsim.fourier_distribution(qsim.coset_sample(o, dom, rng), (3, 9))
-    d2 = qsim.fourier_distribution(qsim.coset_sample(o, dom, rng), (3, 9))
+    d1 = reference.fourier_distribution(qsim.coset_sample(o, dom, rng), (3, 9))
+    d2 = reference.fourier_distribution(qsim.coset_sample(o, dom, rng), (3, 9))
     assert d1.probs == d2.probs
 
 
@@ -302,7 +399,7 @@ def test_fourier_sample_empirical_matches_distribution():
     # 1e5 draws from a fixed support: every outcome within 3 binomial sigma
     o = orc.make_oracle(G351, sg.sg1m(1, 0, 1))
     s = qsim.coset_sample(o, direct_domain((3, 9)), random.Random(12))
-    dist = qsim.fourier_distribution(s, (3, 9))
+    dist = reference.fourier_distribution(s, (3, 9))
     rng = random.Random(13)
     n = 10**5
     counts: dict = {}
@@ -333,16 +430,16 @@ BRANCH_CASES = [
 def test_dense_matches_structured_mixture(gp, descr, dims, scale):
     o = orc.make_oracle(gp, descr)
     dom = qsim.Domain(dims, ((scale, 0), (0, 1)), name="branch")
-    exact = qsim.branch_mixture_distribution(o, dom)
-    dense = qsim.dense_reference_distribution(o, dom)
-    assert qsim.total_variation(exact, dense) < 1e-9
+    exact = reference.branch_mixture_distribution(o, dom)
+    dense = reference.dense_reference_distribution(o, dom)
+    assert reference.total_variation(exact, dense) < 1e-9
 
 
 def test_dense_reference_guard():
     o = orc.make_oracle(G351, sg.sg1x(1))
     big = qsim.Domain((243, 81), ((1, 0), (0, 0)), name="too-big")
     with pytest.raises(TooLarge):
-        qsim.dense_reference_distribution(o, big)
+        reference.dense_reference_distribution(o, big)
 
 
 # ---------------------------------------------------------------- abelian_hsp

@@ -93,6 +93,24 @@ def test_solve_recovers_every_catalog_subgroup(gp):
         assert rep.branch == f"{gp.class_tag}/{cyc}/m={rep.m}"
 
 
+@pytest.mark.parametrize("p,r,tau", [(7, 7, 1), (11, 5, 1), (3, 12, 1)])
+def test_solve_past_the_array_guard(p, r, tau):
+    # one catalog subgroup per branch; (7, 7) and (11, 5) are above the 2^24
+    # guard of the array labels, so no solve here may label register arrays
+    gp = gr.make_group(p, r, tau)
+    branches = set()
+    for d in sg.enumerate_catalog(gp):
+        table = sg.table_for(gp, d)
+        m, n = table.x_intersection_val(p), table.y_intersection_val(p)
+        branch = f"{gp.class_tag}/{solver.classify_cyclicity(m, n, r)}/m={m}"
+        if branch in branches:
+            continue
+        branches.add(branch)
+        rep = solver.solve(orc.make_oracle(gp, d), seed=len(branches))
+        assert (rep.recovered, rep.branch) == (d, branch)
+    assert len(branches) == 2 * r + 1
+
+
 def test_solve_abelian_group_direct_product():
     for k, d in enumerate(sg.enumerate_catalog(G350)):
         o = orc.make_oracle(G350, d)
@@ -186,6 +204,14 @@ def test_final_verification_stops_at_first_generator_outside(monkeypatch):
     with pytest.raises(VerificationFailed, match=r"recovered generator \(1, 0\) is not"):
         solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=3)
     assert seen[-2:] == [gr.IDENTITY, (1, 0)]
+
+
+def test_final_verification_rejects_a_strict_subgroup_with_other_depths(monkeypatch):
+    # H = <x^9> (m, n) = (2, 2); the faulty branch claims <x^27>, which passes
+    # the membership check, so only the re-check of the measured depths fails
+    monkeypatch.setattr(solver, "solve_cyclic_class1", lambda o, m, n, rng: sg.sg1x(3))
+    with pytest.raises(VerificationFailed, match="measured axis depths"):
+        solver.solve(orc.make_oracle(G351, sg.sg1x(2)), seed=3)
 
 
 def test_solve_report_json_matches_schema():
