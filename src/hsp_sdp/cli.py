@@ -274,9 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum_p.set_defaults(func=_cmd_enumerate)
 
     solve_p = sub.add_parser("solve", help="recover one hidden subgroup, print a JSON report")
-    solve_p.add_argument("--p", type=int, required=True, help="odd prime")
-    solve_p.add_argument("--r", type=int, help="x modulus is p^r")
-    solve_p.add_argument("--tau", type=int, help="twist parameter mod p^2")
+    _add_group_args(solve_p, required=False)
     solve_p.add_argument("--N", type=int, help="composite x modulus (composite mode)")
     solve_p.add_argument("--alpha", type=int, help="twist unit mod N (composite mode)")
     solve_p.add_argument("--subgroup", help="hidden subgroup as a catalog descriptor JSON object")

@@ -46,7 +46,6 @@ class AbelianFactor:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    params: CompositeParams
     parent: gr.SemidirectGroup
     semidirect: gr.GroupParams
     p_crt_unit: int
@@ -113,7 +112,6 @@ def decompose(cp: CompositeParams) -> FactorDecomposition:
             AbelianFactor(prime=q, exponent=e, modulus=qe, crt_unit=_crt_unit(cp.N, qe))
         )
     return FactorDecomposition(
-        params=cp,
         parent=gr.make_semidirect(cp.N, cp.p, cp.alpha),
         semidirect=semidirect,
         p_crt_unit=_crt_unit(cp.N, pr),

@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
 from . import group as gr
 from . import subgroup as sg
 from .errors import TooLarge
@@ -101,7 +99,7 @@ class HidingOracle:
                 best_a, best_b = ca, cb
         return Label(best_a * y_mod + best_b)
 
-    def _label_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _label_array(self, a, b):
         """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed.
 
         Per rep (rb, ra) the candidate is ca * y_mod + cb with
@@ -114,6 +112,8 @@ class HidingOracle:
         """
         if self.group.order > ORACLE_GUARD:
             raise TooLarge(f"group order {self.group.order} exceeds the 2^24 array guard")
+        import numpy as np  # only the reference scan labels arrays
+
         y_mod, d = self.group.y_mod, self._d
         wrap = d * y_mod
         a_part = a % d * y_mod
@@ -154,7 +154,7 @@ class HidingOracle:
         self.meter.sim_evals += 1
         return self._label(g)
 
-    def _sim_eval_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _sim_eval_array(self, a, b):
         self.meter.sim_evals += len(a)
         return self._label_array(a, b)
 

@@ -33,8 +33,8 @@ right factor y^(n_v j). As alpha - 1 divides alpha^k - 1, it suffices that
 x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
 
     x axis, y axis, crt axes   homomorphisms into G
-    <x^(p^s), y> (abelian      p^s (alpha - 1) == 0 mod p^r: s = 2 for class1,
-      route, tau = 0 section)  s = 1 for class2, alpha = 1 for tau = 0
+    <x^(p^s), y> (abelian      p^s (alpha - 1) == 0 mod p^r: s = c, the
+      route, tau = 0 section)  commutator depth; alpha = 1 for tau = 0
     constraint routine         x^(p^m) in H; alpha == 1 (mod p^(r-2)) with
                                m <= 3 <= r-2; y^p in H when n = 1
     abelianization section     H contains the commutator <x^q>, q = p^(r-c),

@@ -6,6 +6,12 @@ a branch routine, and re-verifies the recovered descriptor against the oracle
 before reporting. Every routine is Las Vegas: candidate subgroups are checked
 with real oracle queries, so a returned report is always correct and the only
 failure mode is RetriesExhausted.
+
+The branches share one route rule, c being the commutator depth: an axis in
+H (m == 0 or n == 0) gives H in closed form; the shallow rows 0 < m < n + c,
+where x^(p^m) and H's part in <x^(p^c), y> may not generate H, run the
+constraint routine (class1) or the abelianization quotient (class2); every
+other row takes the abelian route, which recovers exactly those two parts.
 """
 
 from __future__ import annotations
@@ -120,17 +126,22 @@ def _section(o, x_dim, x_step, x_extra, rng, name):
     return sg.canonicalize(gp, lifted)
 
 
-def _abelian_route(o, m, scale_exp, rng):
-    """Recover H inside the abelian subgroup <x^(p^scale_exp), y>.
+def _abelian_route(o, m, rng):
+    """Recover H inside the abelian subgroup <x^(p^c), y>, c the commutator depth.
 
-    The embedding (u, v) -> (p^scale_exp * u, v) is an exact homomorphism
-    because p^scale_exp kills the commutator twist. The hidden subgroup's
-    x-axis part can stick out of the domain, so the measured depth m is
-    appended as an extra generator; it is always an element of H.
+    The embedding (u, v) -> (p^c * u, v) is an exact homomorphism because
+    p^c kills the commutator twist. The hidden subgroup's x-axis part can
+    stick out of the domain, so the measured depth m is appended as an extra
+    generator; it is always an element of H.
     """
     gp = o.group
-    scale = gp.p ** scale_exp
+    scale = gp.p ** gr.commutator_depth(gp)
     return _section(o, gp.x_mod // scale, scale, gp.p ** m, rng, "abelian-route")
+
+
+def _axis_closed_form(gp, m, n):
+    """<x^(p^m), y^(p^n)>, which is H when m == 0 or n == 0."""
+    return sg.canonicalize(gp, [(gp.p ** m % gp.x_mod, 0), (0, gp.p ** n % gp.y_mod)])
 
 
 def solve_via_abelianization(o, rng):
@@ -147,43 +158,30 @@ def solve_via_abelianization(o, rng):
 
 
 def solve_cyclic_class1(o, m, n, rng):
-    """Cyclic hidden subgroup in a class1 group."""
-    if m in (1, 2, 3):
+    """Cyclic hidden subgroup in a class1 group. No closed form here: m == 0
+    (H = <x>) and (m, n) = (r, 0) (H = <y>) keep the abelian route, which
+    the seeded reports pin."""
+    if 0 < m < n + gr.commutator_depth(o.group):
         return _constraint_routine(o, m, n, rng)
-    # m == 0 (H contains the whole x axis) or m >= 4: the x part is deep
-    # enough that H meet <x^(p^2), y> plus x^(p^m) generates H.
-    return _abelian_route(o, m, 2, rng)
+    return _abelian_route(o, m, rng)
 
 
 def solve_noncyclic_class1(o, m, n, rng):
     """Noncyclic hidden subgroup in a class1 group (so m < r and n <= 1)."""
-    gp = o.group
-    p = gp.p
-    if n == 0:
-        return sg.canonicalize(gp, [(p ** m % gp.x_mod, 0), (0, 1)])
-    if m == 0:
-        return sg.canonicalize(gp, [(1, 0), (0, p)])
-    if m >= 3:
-        return _abelian_route(o, m, 2, rng)
-    return _constraint_routine(o, m, n, rng)
+    if m == 0 or n == 0:
+        return _axis_closed_form(o.group, m, n)
+    if 0 < m < n + gr.commutator_depth(o.group):
+        return _constraint_routine(o, m, n, rng)
+    return _abelian_route(o, m, rng)
 
 
 def solve_class2(o, m, n, rng):
-    """Hidden subgroup in a class2 group.
-
-    Closed forms when an axis is fully contained; the shallow mixed cases go
-    through the abelianization quotient (the class2 commutator is deep enough
-    at depth r-1); everything else embeds in <x^p, y>.
-    """
-    gp = o.group
-    p = gp.p
-    if m == 0:
-        return sg.canonicalize(gp, [(1, 0), (0, p ** n % gp.y_mod)])
-    if n == 0:
-        return sg.canonicalize(gp, [(p ** m % gp.x_mod, 0), (0, 1)])
-    if (1 <= m <= 2 and n == 2) or (m == 1 and n == 1):
+    """Hidden subgroup in a class2 group."""
+    if m == 0 or n == 0:
+        return _axis_closed_form(o.group, m, n)
+    if 0 < m < n + gr.commutator_depth(o.group):
         return solve_via_abelianization(o, rng)
-    return _abelian_route(o, m, 1, rng)
+    return _abelian_route(o, m, rng)
 
 
 @dataclass

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import numpy as np
-
 from . import group as gr
 from . import numtheory as nt
 from .errors import InvalidDescriptor, NotInCatalog, TooLarge
@@ -292,22 +290,12 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     x_mod = gp.x_mod
-
-    def residues(values) -> np.ndarray:
-        # sorted distinct values mod x_mod; a mask, because the first
-        # np.unique call in a process costs about 1.5 MB of resident memory
-        seen = np.zeros(x_mod, dtype=bool)
-        seen[values % x_mod] = True
-        return np.flatnonzero(seen)
-
-    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
-    a_range = np.arange(x_mod, dtype=np.int64)
-    left = residues(a_range[:, None] * ((1 - apow) % x_mod)[None, :])
-    right = residues(a_range[:, None] * ((apow - 1) % x_mod)[None, :])
-    if left.size * right.size > MATERIALIZE_GUARD:
+    apow = gr._alpha_pows(gp)
+    left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
+    right = {a * (t - 1) % x_mod for a in range(x_mod) for t in apow}
+    if len(left) * len(right) > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
-    total = residues(left[:, None] + right[None, :])
-    return frozenset((int(v), 0) for v in total)
+    return frozenset(((u + v) % x_mod, 0) for u in left for v in right)
 
 
 # ------------------------------------------------------------ brute force

@@ -2,9 +2,11 @@
 
 `tests/data/golden_reports.json` holds the `to_json()` output of a fixed list
 of seeded solves: one hidden subgroup per solver branch at (p, r) = (3, 5)
-for tau = 0, 1 and 3 and at (5, 6, tau = 1), plus two composite solves at
-N = 1215. Any change to query counts, simulation cost, iterations or the
-random draws shows up here as a mismatch.
+for tau = 0, 1 and 3 and at (5, 6, tau = 1), two composite solves at
+N = 1215, then one hidden subgroup per axis-depth row (m, n) of the
+non-abelian groups that no branch pick covers, so every route the solver
+can take for (m, n) is pinned. Any change to query counts, simulation cost,
+iterations or the random draws shows up here as a mismatch.
 
 Regenerate the data only when a report is meant to change:
 
@@ -34,26 +36,46 @@ COMPOSITE_CASES = (
 COMPOSITE_N = 1215
 
 
+def _depths(gp, d) -> tuple[int, int]:
+    table = sg.table_for(gp, d)
+    return table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)
+
+
 def _branch(gp, d) -> str:
     if gp.class_tag == gr.CLASS_ABELIAN:
         return "abelian/direct-product"
-    table = sg.table_for(gp, d)
-    m, n = table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)
+    m, n = _depths(gp, d)
     return f"{gp.class_tag}/{solver.classify_cyclicity(m, n, gp.r)}/m={m}"
 
 
 def _solve_picks():
-    """The first catalog subgroup of every branch, with a seed per pick."""
-    picks = []
-    for p, r, tau in SOLVE_GROUPS:
-        gp = gr.make_group(p, r, tau)
+    """(branch picks, row picks), each a list of (group, descriptor, seed).
+
+    A branch pick is the first catalog subgroup of every branch. A row pick
+    is the first catalog subgroup of every (m, n) row of a non-abelian group
+    that no branch pick of that group covers. Seeds count up from 100 across
+    both lists.
+    """
+    groups = [gr.make_group(p, r, tau) for p, r, tau in SOLVE_GROUPS]
+    branches = []
+    for gp in groups:
         seen = set()
         for d in sg.enumerate_catalog(gp):
             branch = _branch(gp, d)
             if branch not in seen:
                 seen.add(branch)
-                picks.append((gp, d, 100 + len(picks)))
-    return picks
+                branches.append((gp, d, 100 + len(branches)))
+    rows = []
+    for gp in groups:
+        if gp.class_tag == gr.CLASS_ABELIAN:
+            continue
+        seen = {_depths(gp, d) for g, d, _ in branches if g == gp}
+        for d in sg.enumerate_catalog(gp):
+            row = _depths(gp, d)
+            if row not in seen:
+                seen.add(row)
+                rows.append((gp, d, 100 + len(branches) + len(rows)))
+    return branches, rows
 
 
 def _solve_entry(gp, d, seed) -> dict:
@@ -85,10 +107,11 @@ def _composite_entry(alpha, gens, seed) -> dict:
 
 
 def generate() -> list[dict]:
-    out = [_solve_entry(gp, d, seed) for gp, d, seed in _solve_picks()]
+    branches, rows = _solve_picks()
+    out = [_solve_entry(gp, d, seed) for gp, d, seed in branches]
     for k, (alpha, gens) in enumerate(COMPOSITE_CASES):
         out.append(_composite_entry(alpha, gens, 500 + k))
-    return out
+    return out + [_solve_entry(gp, d, seed) for gp, d, seed in rows]
 
 
 def _load() -> list[dict]:
@@ -107,8 +130,9 @@ def _rerun(entry: dict) -> dict:
 
 def test_golden_cases_cover_every_branch():
     entries = _load()
+    branches, rows = _solve_picks()
     want = [(gp.p, gp.r, gp.tau, sg.descriptor_to_json(d), seed)
-            for gp, d, seed in _solve_picks()]
+            for gp, d, seed in branches + rows]
     got = [(e["p"], e["r"], e["tau"], e["descriptor"], e["seed"])
            for e in entries if e["kind"] == "solve"]
     assert got == want

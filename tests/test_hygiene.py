@@ -1,7 +1,11 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and the
+CLI commands run without loading numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,32 @@ def test_no_unused_module_level_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom . import qsim\nimport numpy as np\nnp.zeros(1)\n")
     assert unused_imports(tree) == ["math (line 1)", "qsim (line 2)"]
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+from hsp_sdp import cli
+group = ["--p", "3", "--r", "5", "--tau", "1"]
+runs = [
+    ["enumerate", *group],
+    ["solve", *group, "--subgroup", '{"form":"sg1m","t":2,"i":0,"j":1}'],
+    ["solve", "--N", "1215", "--p", "3", "--alpha", "271", "--generators", "[[730,1]]"],
+    ["sweep", *group, "--trials", "1"],
+    ["verify-catalog", *group],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert "numpy" not in sys.modules, "a CLI command loaded numpy"
+"""
+
+
+def test_cli_commands_do_not_load_numpy():
+    # a fresh interpreter: the test session itself has numpy loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        env={**os.environ, "HSP_SDP_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
