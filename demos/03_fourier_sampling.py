@@ -49,12 +49,13 @@ def main():
     domain = qsim.Domain((3, 9), ((1, 0), (0, 1)), name="m=1 grid")
 
     print("\n== one coset-collapse draw ==")
-    s = qsim.coset_sample(o, domain, rng)
+    k = qsim.pullback(o, domain)
+    s = qsim.coset_sample(o, k, rng)
     print(f"  support size {len(s.points)} (= |K|), base point {s.base}")
     print(f"  K generators in the register domain: {list(s.gens)}")
 
     print("\n== exact Fourier outcome distribution of that coset state ==")
-    dist = reference.fourier_distribution(s, domain.dims)
+    dist = reference.fourier_distribution(s)
     for outcome in sorted(dist.probs):
         print(f"  character {outcome}  prob {dist.probs[outcome]}")
     uniform = set(dist.probs.values()) == {Fraction(1, len(dist.probs))}
@@ -64,8 +65,7 @@ def main():
     hits = 0
     draws = 12
     for _ in range(draws):
-        c_a, c_b = qsim.fourier_sample(qsim.coset_sample(o, domain, rng),
-                                       domain.dims, rng)
+        c_a, c_b = qsim.fourier_sample(qsim.coset_sample(o, k, rng), rng)
         t = solver.recover_t(c_a, c_b, 3)
         verdict = f"t = {t}" if t is not None else "uninformative (c_a not a unit)"
         hits += t is not None

@@ -134,7 +134,6 @@ class FactorOracle(orc.HidingOracle):
         self.group = semidirect
         self._unit = crt_unit
         self.meter = parent.meter
-        self._domain_views: dict = {}
 
     def _label(self, g: gr.Element):
         return self._parent._label((g[0] * self._unit % self._parent.group.x_mod, g[1]))

@@ -42,10 +42,6 @@ class NotInCatalog(HspError):
     """Canonicalization failed to match any catalog entry (internal bug)."""
 
 
-class DimensionMismatch(HspError):
-    """Register dimensions disagree between a support and an operation."""
-
-
 class RetriesExhausted(HspError):
     """A Las Vegas routine ran out of retry budget."""
 

@@ -84,7 +84,6 @@ class HidingOracle:
         # sealed: only the label functions and _sim_table read the hidden table
         self._reps = hidden_table.reps
         self._d = hidden_table.x_step
-        self._domain_views: dict = {}  # qsim.Domain -> its closed-form level sets
 
     def _label(self, g: gr.Element) -> Label:
         a, b = g

@@ -6,16 +6,18 @@ hiding oracle once, measure the label register (collapsing the state to a
 uniform coset of the level-set subgroup K), apply the product-of-cyclic-QFTs,
 and measure. Classically that is:
 
+    pullback         read K = embed^-1(H), once per routine
     coset_sample     draw the post-collapse support (a coset of K)
     fourier_sample   draw one Fourier outcome (uniform on the annihilator)
 
 Neither needs the labels of the register points. The base point is uniform
-and independent of K, and the outcome law depends only on K. So K =
-embed^-1(H) is read in closed form from the hidden SubgroupTable (x-step d,
-one x-offset a_b per y-value b) through the oracle's sealed _sim_table
-accessor: O(|table rows|) <= p^2 work, charged as one simulation evaluation
-per row and cached per (oracle, Domain). The solver and composite domains
-have one of the shapes
+and independent of K, and the outcome law depends only on K. So pullback
+reads K = embed^-1(H) once per recovery routine, in closed form from the
+hidden SubgroupTable (x-step d, one x-offset a_b per y-value b) through the
+oracle's sealed _sim_table accessor: O(|table rows|) <= p^2 work, charged as
+one simulation evaluation per row. Every coset_sample of the routine then
+shifts K by a uniform base. The solver and composite domains have one of
+the shapes
 
     (u,) -> x^(s u)      (v,) -> y^v      (u, v) -> x^(s u) y^v
 
@@ -49,11 +51,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from . import group as gr
 from . import numtheory as nt
-from .errors import DimensionMismatch, PreconditionViolated, RetriesExhausted
+from .errors import PreconditionViolated, RetriesExhausted
 
 #: extra character samples beyond log2(|domain|) per recovery attempt
 KAPPA = 10
@@ -140,16 +141,12 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
 # ------------------------------------------------------------ domains
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Domain:
     """A register Z_dims mapped linearly into the ambient group.
 
     Register coordinate j steps by axes[j] = (dx_j, dy_j), so u embeds as
     (sum_j u_j dx_j mod x_mod, sum_j u_j dy_j mod y_mod).
-
-    Hashed by identity on purpose: the level-set view is cached per (oracle,
-    domain object), so reusing one Domain across samples costs one table
-    read total, and a fresh Domain means a fresh read.
     """
 
     dims: Register
@@ -161,11 +158,6 @@ class Domain:
         a = sum(c * (dx % x_mod) for c, (dx, _) in zip(u, self.axes)) % x_mod
         b = sum(c * (dy % y_mod) for c, (_, dy) in zip(u, self.axes)) % y_mod
         return a, b
-
-
-class _DomainView(NamedTuple):
-    k_gens: tuple[Register, ...]
-    ann: tuple[Register, ...]  # dual_kernel(dims, k_gens)
 
 
 def _shape(domain: Domain, y_mod: int) -> tuple[int, int, int, tuple[int, ...]]:
@@ -187,35 +179,6 @@ def _shape(domain: Domain, y_mod: int) -> tuple[int, int, int, tuple[int, ...]]:
         f"domain {domain.name!r}: no closed-form level sets for axes {domain.axes} "
         f"on dims {dims}"
     )
-
-
-def _domain_view(o, domain: Domain) -> _DomainView:
-    view = o._domain_views.get(domain)
-    if view is not None:
-        return view
-    n, s, n_v, kept = _shape(domain, o.group.y_mod)
-    d, reps = o._sim_table()
-    g = math.gcd(s, d)
-    step = d // g  # the solutions u of s u == a (mod d) repeat with this period
-    inv = pow(s // g, -1, step) if step > 1 else 0
-    v0 = u1 = v1 = None
-    for b, a in reps:  # sorted by b
-        if b >= n_v:
-            break
-        if a % g:
-            continue
-        u = a // g * inv % step  # least u >= 0 with s u == a (mod d)
-        if u == 0:
-            if b and v0 is None:
-                v0 = b
-            u = step
-        if u < n and (u1 is None or u < u1):
-            u1, v1 = u, b
-    gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
-    k_gens = tuple(tuple(pt[i] for i in kept) for pt in gens)
-    view = _DomainView(k_gens=k_gens, ann=tuple(dual_kernel(domain.dims, k_gens)))
-    o._domain_views[domain] = view
-    return view
 
 
 # ------------------------------------------------------------ sampling
@@ -246,29 +209,52 @@ class CosetSupport:
         return frozenset(pts)
 
 
-def coset_sample(o, domain: Domain, rng) -> CosetSupport:
+def pullback(o, domain: Domain) -> CosetSupport:
+    """K = embed^-1(H) as the support at base 0, read in closed form from the
+    hidden table: one simulation evaluation per table row, no query."""
+    n, s, n_v, kept = _shape(domain, o.group.y_mod)
+    d, reps = o._sim_table()
+    g = math.gcd(s, d)
+    step = d // g  # the solutions u of s u == a (mod d) repeat with this period
+    inv = pow(s // g, -1, step) if step > 1 else 0
+    v0 = u1 = v1 = None
+    for b, a in reps:  # sorted by b
+        if b >= n_v:
+            break
+        if a % g:
+            continue
+        u = a // g * inv % step  # least u >= 0 with s u == a (mod d)
+        if u == 0:
+            if b and v0 is None:
+                v0 = b
+            u = step
+        if u < n and (u1 is None or u < u1):
+            u1, v1 = u, b
+    gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
+    k_gens = tuple(tuple(pt[i] for i in kept) for pt in gens)
+    dims = domain.dims
+    return CosetSupport(dims, _zero(dims), k_gens, tuple(dual_kernel(dims, k_gens)))
+
+
+def coset_sample(o, k: CosetSupport, rng) -> CosetSupport:
     """One superposed query + label measurement: costs exactly one query.
 
-    The first call per (oracle, domain) reads K in closed form from the
-    hidden table, counted as one simulation evaluation per table row. Later
-    calls reuse the cached view.
+    k is the routine's pullback(o, domain); the sample is k shifted by a
+    uniform base point.
     """
-    view = _domain_view(o, domain)
-    base = tuple(rng.randrange(n) for n in domain.dims)
+    base = tuple(rng.randrange(n) for n in k.dims)
     o.charge_superposition_query()
-    return CosetSupport(domain.dims, base, view.k_gens, view.ann)
+    return CosetSupport(k.dims, base, k.gens, k.ann)
 
 
-def fourier_sample(s: CosetSupport, dims, rng) -> Register:
+def fourier_sample(s: CosetSupport, rng) -> Register:
     """One draw from the outcome law of the coset state s, uniform on the
     annihilator of K (reference.fourier_distribution derives it by summation).
 
     Summing uniform multiples of the annihilator generators is a surjective
     homomorphism from Z_L^k onto it, hence uniform.
     """
-    dims = tuple(dims)
-    if dims != s.dims:
-        raise DimensionMismatch(f"support dims {s.dims} vs requested {dims}")
+    dims = s.dims
     L = math.lcm(*dims)
     c = _zero(dims)
     for g in s.ann:
@@ -310,13 +296,14 @@ def abelian_hsp(domain: Domain, o, rng) -> list[Register]:
     """
     dims = domain.dims
     _probe_embedding(o, domain)
+    k = pullback(o, domain)
     n_samples = (math.prod(dims) - 1).bit_length() + KAPPA
     for attempt in range(1, RETRIES + 1):
         o.meter.attempt(attempt)
         chars = []
         for _ in range(n_samples):
-            s = coset_sample(o, domain, rng)
-            chars.append(fourier_sample(s, dims, rng))
+            s = coset_sample(o, k, rng)
+            chars.append(fourier_sample(s, rng))
         gens = dual_kernel(dims, chars)
         # embed(0) is the identity, which first_outside queries first
         if o.first_outside(domain.embed(o.group, g) for g in gens) is None:

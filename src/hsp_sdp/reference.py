@@ -1,7 +1,7 @@
 """Reference simulation that only tests and demos run.
 
 The solver samples cosets of K = embed^-1(H) read in closed form from the
-hidden table (`qsim.coset_sample`). This module keeps the independent
+hidden table (`qsim.pullback`). This module keeps the independent
 references that closed form is checked against:
 
     level_set_scan                labels every register point with the
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionViolated, TooLarge
+from .errors import PreconditionViolated, TooLarge
 from .qsim import CosetSupport, Domain, Register, dual_kernel
 
 COSET_GUARD = 2**20
@@ -133,7 +133,7 @@ class OutcomeDistribution:
         return self.probs.get(tuple(outcome), Fraction(0))
 
 
-def fourier_distribution(s: CosetSupport, dims) -> OutcomeDistribution:
+def fourier_distribution(s: CosetSupport) -> OutcomeDistribution:
     """Direct amplitude summation over the support, exact rationals.
 
     For each outcome the root-of-unity phases are either all zero relative to
@@ -141,9 +141,7 @@ def fourier_distribution(s: CosetSupport, dims) -> OutcomeDistribution:
     phase subgroup uniformly (amplitude exactly zero); anything else means the
     support was not a coset and is reported loudly.
     """
-    dims = tuple(dims)
-    if dims != s.dims:
-        raise DimensionMismatch(f"support dims {s.dims} vs requested {dims}")
+    dims = s.dims
     L = math.lcm(*dims)
     weights = [L // n for n in dims]
     pts = sorted(s.points)
@@ -204,7 +202,7 @@ def branch_mixture_distribution(o, domain: Domain) -> OutcomeDistribution:
     n_total = math.prod(dims)
     acc: dict = {}
     for s in _level_sets(level_set_scan(o, domain), dims):
-        dist = fourier_distribution(s, dims)
+        dist = fourier_distribution(s)
         weight = Fraction(len(s.points), n_total)
         for c, p in dist.probs.items():
             acc[c] = acc.get(c, Fraction(0)) + weight * p

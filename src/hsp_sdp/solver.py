@@ -65,12 +65,10 @@ def classify_cyclicity(m: int, n: int, r: int) -> str:
 def recover_t(a: int, b: int, modulus: int) -> int | None:
     """Solve a*t + b == 0 (mod modulus) for t, or None if a is not a unit.
 
-    modulus is a prime power; a is a unit iff its base prime does not divide
-    it. Character samples land here: a non-unit sample carries no usable
+    Character samples land here: a non-unit sample carries no usable
     constraint and the caller retries.
     """
-    p = min(nt.factorize(modulus))
-    if a % p == 0:
+    if math.gcd(a, modulus) != 1:
         return None
     return (-nt.mod_inv(a, modulus) * b) % modulus
 
@@ -99,10 +97,11 @@ def _constraint_routine(o, m, n, rng):
     extra, fallback = ([], [pure_x]) if cyclic else ([pure_x], [pure_x, (0, p)])
     top = min(m, n)
     reference = o.query(gr.IDENTITY)
+    k = qsim.pullback(o, domain)
     for attempt in range(1, qsim.RETRIES + 1):
         o.meter.attempt(attempt)
-        s = qsim.coset_sample(o, domain, rng)
-        c_a, c_b = qsim.fourier_sample(s, domain.dims, rng)
+        s = qsim.coset_sample(o, k, rng)
+        c_a, c_b = qsim.fourier_sample(s, rng)
         t1 = recover_t(c_a, c_b, p**top)
         if t1 is None:
             continue

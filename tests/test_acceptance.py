@@ -70,13 +70,13 @@ def test_acceptance_3_unit_character_frequency(acceptance_log):
     for p, r, expect in ((3, 5, 2 / 3), (5, 5, 4 / 5)):
         gp = gr.make_group(p, r, 1)
         o = orc.make_oracle(gp, sg.sg1m(1, 0, 1))  # x depth m = 1
-        domain = qsim.Domain((p, p * p), ((1, 0), (0, 1)))
+        k = qsim.pullback(o, qsim.Domain((p, p * p), ((1, 0), (0, 1))))
         rng = random.Random(p)
         n = 4000
         hits = 0
         for _ in range(n):
-            s = qsim.coset_sample(o, domain, rng)
-            c_a, _ = qsim.fourier_sample(s, domain.dims, rng)
+            s = qsim.coset_sample(o, k, rng)
+            c_a, _ = qsim.fourier_sample(s, rng)
             hits += c_a % p != 0
         sigma = math.sqrt(expect * (1 - expect) / n)
         ok &= abs(hits / n - expect) <= 3 * sigma

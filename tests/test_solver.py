@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
@@ -172,12 +174,33 @@ def test_solve_deterministic_given_seed():
     assert run() == run()
 
 
+def live_domains() -> int:
+    gc.collect()
+    return sum(isinstance(obj, qsim.Domain) for obj in gc.get_objects())
+
+
+def test_reused_oracles_keep_no_domain_past_its_solve():
+    o = orc.make_oracle(G351, sg.sg2(1, 1))
+    cp = cx.make_composite(1215, 3, 271)
+    dec = cx.decompose(cp)
+    lifted = [(a * dec.p_crt_unit % cp.N, b)
+              for a, b in sg.generators(dec.semidirect, sg.sg2(1, 1))]
+    parent = orc.make_oracle_from_generators(dec.parent, lifted)
+    solver.solve(o, seed=0)  # warm-up
+    before = live_domains()
+    for seed in range(1, 51):
+        solver.solve(o, seed=seed)
+    for seed in range(20):
+        cx.solve_composite(cp, parent, seed=seed)
+    assert live_domains() == before
+
+
 def test_solve_reports_distinct_rng_streams_for_distinct_seeds(monkeypatch):
     streams: list[list] = []
     sample = qsim.fourier_sample
 
-    def recording(s, dims, rng):
-        c = sample(s, dims, rng)
+    def recording(s, rng):
+        c = sample(s, rng)
         streams[-1].append(c)
         return c
 
