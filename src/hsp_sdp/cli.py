@@ -196,22 +196,30 @@ def _normality_claims(catalog):
     return claims
 
 
+def _by_elements(gp, bitsets) -> list[tuple[frozenset, int]]:
+    """(element set, bitset) pairs ordered by (order, sorted elements)."""
+    pairs = [(sg.bitset_elements(bits, gp.y_mod), bits) for bits in bitsets]
+    return sorted(pairs, key=lambda pair: (len(pair[0]), sorted(pair[0])))
+
+
 def _cmd_verify_catalog(args) -> int:
     gp = gr.make_group(args.p, args.r, args.tau)
     catalog = sg.enumerate_catalog(gp)
-    by_elements = {sg.elements(gp, d): d for d in catalog}
-    lattice = set(sg.brute_force_lattice(gp))
+    # the lattice first: its guard raises TooLarge before the catalog bitsets are built
+    lattice = set(sg.brute_force_lattice_bits(gp))
+    by_bits = {sg.table_for(gp, d).bitset(): d for d in catalog}
     ok = True
 
-    missing = lattice - by_elements.keys()
-    extra = by_elements.keys() - lattice
+    missing = lattice - by_bits.keys()
+    extra = by_bits.keys() - lattice
     if missing or extra:
         ok = False
         print(f"catalog mismatch: {len(missing)} missing, {len(extra)} extra")
-        for s in sorted(missing, key=lambda s: (len(s), sorted(s))):
+        # only the unmatched members are decoded to element sets
+        for s, _ in _by_elements(gp, missing):
             print(f"  missing subgroup of order {len(s)}: sample {sorted(s)[:4]}")
-        for s in sorted(extra, key=lambda s: (len(s), sorted(s))):
-            print(f"  extra descriptor {_compact(sg.descriptor_to_json(by_elements[s]))}")
+        for _, bits in _by_elements(gp, extra):
+            print(f"  extra descriptor {_compact(sg.descriptor_to_json(by_bits[bits]))}")
     else:
         print(f"catalog matches brute-force lattice: {len(catalog)} subgroups")
 

@@ -22,7 +22,7 @@ int64 array labelling of the reference scan has a size guard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from . import group as gr
 from . import subgroup as sg
@@ -66,7 +66,12 @@ class Meter:
             self.retries += 1
 
     def __sub__(self, before: "Meter") -> "Meter":
-        return Meter(*(a - b for a, b in zip(astuple(self), astuple(before))))
+        return Meter(
+            self.queries - before.queries,
+            self.sim_evals - before.sim_evals,
+            self.iterations - before.iterations,
+            self.retries - before.retries,
+        )
 
 
 class HidingOracle:

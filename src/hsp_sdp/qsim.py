@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import group as gr
 from . import numtheory as nt
@@ -72,11 +72,9 @@ def _add(u: Register, v: Register, dims: Register) -> Register:
     return tuple((a + b) % n for a, b, n in zip(u, v, dims))
 
 
-def _scale(k: int, u: Register, dims: Register) -> Register:
-    return tuple(k * a % n for a, n in zip(u, dims))
-
-
-def _single_prime(dims: Register) -> int:
+@lru_cache(maxsize=None)
+def _register(dims: Register) -> tuple[int, int, int, tuple[int, ...]]:
+    """(p, L, v_p(L), L / n_j per coordinate) for a register of p-power dims."""
     p = None
     for n in dims:
         if n < 2:
@@ -89,7 +87,8 @@ def _single_prime(dims: Register) -> int:
             p = q
         elif q != p:
             raise ValueError(f"mixed primes {p} and {q} in register dimensions")
-    return p
+    L = math.lcm(*dims)
+    return p, L, nt.p_valuation(L, p)[0], tuple(L // n for n in dims)
 
 
 def dual_kernel(dims: Register, vectors) -> list[Register]:
@@ -102,10 +101,7 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
     grows beyond the register count.
     """
     dims = tuple(dims)
-    p = _single_prime(dims)
-    L = math.lcm(*dims)
-    exp_l = nt.p_valuation(L, p)[0]
-    weights = [L // n for n in dims]
+    p, L, exp_l, weights = _register(dims)
     gens: list[Register] = [
         tuple(1 if j == l else 0 for j in range(len(dims))) for l in range(len(dims))
     ]
@@ -255,11 +251,13 @@ def fourier_sample(s: CosetSupport, rng) -> Register:
     homomorphism from Z_L^k onto it, hence uniform.
     """
     dims = s.dims
-    L = math.lcm(*dims)
-    c = _zero(dims)
+    L = _register(dims)[1]
+    c = [0] * len(dims)
     for g in s.ann:
-        c = _add(c, _scale(rng.randrange(L), g, dims), dims)
-    return c
+        k = rng.randrange(L)
+        for j, gj in enumerate(g):
+            c[j] += k * gj
+    return tuple(cj % n for cj, n in zip(c, dims))
 
 
 # ------------------------------------------------------------ abelian HSP

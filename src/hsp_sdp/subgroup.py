@@ -179,6 +179,23 @@ class SubgroupTable:
             for u in range(x_mod // d)
         )
 
+    def bitset(self) -> int:
+        """elements() as an int bitset over the index a*y_mod + b.
+
+        With a_b < d, the reps fill the first block of d*y_mod indices, and
+        the element set is that block repeated x_mod/d times, each copy d*y_mod
+        indices (one x-step) higher. Doubling the copies takes O(log) shifts.
+        """
+        stride, count = self.x_step * self.y_mod, self.x_mod // self.x_step
+        bits = 0
+        for b, a in self.reps:
+            bits |= 1 << (a * self.y_mod + b)
+        copies = 1
+        while copies < count:
+            bits |= bits << (stride * copies)
+            copies *= 2
+        return bits & ((1 << stride * count) - 1)
+
     def x_intersection_val(self, p: int) -> int:
         """m with intersection along the x-axis equal to <x^(p^m)>."""
         v, u = nt.p_valuation(self.x_step, p)
@@ -300,33 +317,55 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
 
 # ------------------------------------------------------------ brute force
 
+_OFF, _ON = ord("0"), ord("1")
 
-def _mulclose(gp: gr.SemidirectGroup, gens) -> frozenset:
-    seen = {gr.IDENTITY}
+
+def _flags_to_bits(flags: bytearray) -> int:
+    """Pack ASCII "0"/"1" flags at index a*y_mod + b into an int bitset in
+    one pass: the reversed array is the bitset's binary numeral."""
+    return int(flags[::-1], 2)
+
+
+def bitset_elements(bits: int, y_mod: int) -> SubgroupSet:
+    """The element set of an int bitset over the index a*y_mod + b."""
+    flags = bin(bits)[:1:-1]
+    out = []
+    idx = flags.find("1")
+    while idx >= 0:
+        out.append(divmod(idx, y_mod))
+        idx = flags.find("1", idx + 1)
+    return frozenset(out)
+
+
+def _mulclose(gp: gr.SemidirectGroup, gens) -> int:
+    seen = bytearray(b"0") * gp.order
+    seen[0] = _ON  # the identity
     frontier = [gr.IDENTITY]
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
     while frontier:
         nxt = []
         for a1, b1 in frontier:
+            t = apow[b1]
             for a2, b2 in gens:
-                t = ((a1 + a2 * apow[b1]) % x_mod, (b1 + b2) % y_mod)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
+                a, b = (a1 + a2 * t) % x_mod, (b1 + b2) % y_mod
+                idx = a * y_mod + b
+                if seen[idx] == _OFF:
+                    seen[idx] = _ON
+                    nxt.append((a, b))
         frontier = nxt
-    return frozenset(seen)
+    return _flags_to_bits(seen)
 
 
-def brute_force_lattice(gp: gr.GroupParams) -> list[SubgroupSet]:
-    """Every subgroup of G: cyclic subgroups, then pairwise joins to fixpoint.
+def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
+    """Every subgroup of G as an int bitset over the element index
+    a*y_mod + b, in discovery order: cyclic subgroups, then pairwise joins
+    to fixpoint.
 
     A reference independent of the catalog: it uses the group law only
     (alpha powers, multiplication), never descriptors, normal-form tables or
-    structural facts such as a bound on the number of generators.
-
-    Subgroups are int bitsets over the element index a*y_mod + b, so a
-    subset test is ``A & B == A`` and an order is a popcount.
+    structural facts such as a bound on the number of generators. A subset
+    test is ``A & B == A`` and an order is a popcount, taken once per member.
 
     Cyclic subgroups: walking <g> lists g^k for k = 1..ord(g); every g^k with
     gcd(k, ord(g)) = 1 generates the same <g>, so those elements are skipped
@@ -343,44 +382,60 @@ def brute_force_lattice(gp: gr.GroupParams) -> list[SubgroupSet]:
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
 
-    subs: dict[int, tuple[frozenset, tuple]] = {}  # bitset -> (elements, gens)
     found: list[int] = []  # bitsets in discovery order
+    orders: list[int] = []  # popcount of each member of found
+    gens_of: dict[int, tuple] = {}  # bitset -> generators
     by_order: dict[int, list[int]] = {}
 
-    def add(elems: frozenset, gens: tuple) -> None:
-        bits = 0
-        for a, b in elems:
-            bits |= 1 << (a * y_mod + b)
-        if bits not in subs:
-            subs[bits] = (elems, gens)
+    def add(bits: int, order: int, gens: tuple) -> None:
+        if bits not in gens_of:
+            gens_of[bits] = gens
             found.append(bits)
-            by_order.setdefault(len(elems), []).append(bits)
+            orders.append(order)
+            by_order.setdefault(order, []).append(bits)
 
     covered = bytearray(gp.order)
+    flags = bytearray(b"0") * gp.order
     for idx in range(gp.order):
         if covered[idx]:
             continue
         g = divmod(idx, y_mod)
-        powers = [g]
-        while powers[-1] != gr.IDENTITY:
-            a1, b1 = powers[-1]
-            powers.append(((a1 + g[0] * apow[b1]) % x_mod, (b1 + g[1]) % y_mod))
+        powers = [idx]
+        a1, b1 = g
+        while a1 or b1:  # up to the identity (0, 0)
+            a1, b1 = (a1 + g[0] * apow[b1]) % x_mod, (b1 + g[1]) % y_mod
+            powers.append(a1 * y_mod + b1)
         n = len(powers)
-        for k, (a, b) in enumerate(powers, 1):
+        for k, pdx in enumerate(powers, 1):
+            flags[pdx] = _ON
             if math.gcd(k, n) == 1:
-                covered[a * y_mod + b] = 1
-        add(frozenset(powers), (g,))
+                covered[pdx] = 1
+        add(_flags_to_bits(flags), n, (g,))
+        for pdx in powers:
+            flags[pdx] = _OFF
 
     # found grows while it is walked, so joins of new members are tried too
     for idx, bits_a in enumerate(found):
-        for bits_b in found[:idx]:
+        order_a = orders[idx]
+        for bits_b, order_b in zip(found[:idx], orders[:idx]):
             meet = bits_a & bits_b
             if meet == bits_a or meet == bits_b:
                 continue
             union = bits_a | bits_b
-            order = bits_a.bit_count() * bits_b.bit_count() // meet.bit_count()
+            order = order_a * order_b // meet.bit_count()
             if any(k & union == union for k in by_order.get(order, ())):
                 continue  # <A, B> = AB is already in the lattice
-            gens = subs[bits_a][1] + subs[bits_b][1]
-            add(_mulclose(gp, gens), gens)
-    return sorted((fs for fs, _ in subs.values()), key=lambda s: (len(s), sorted(s)))
+            gens = gens_of[bits_a] + gens_of[bits_b]
+            bits = _mulclose(gp, gens)
+            add(bits, bits.bit_count(), gens)
+    return found
+
+
+def brute_force_lattice(gp: gr.GroupParams) -> list[SubgroupSet]:
+    """Every subgroup of G as an element set, ordered by (order, sorted elements).
+
+    A thin decode of brute_force_lattice_bits, which derives the lattice from
+    the group law only and raises TooLarge above BRUTE_FORCE_GUARD.
+    """
+    sets = [bitset_elements(bits, gp.y_mod) for bits in brute_force_lattice_bits(gp)]
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))

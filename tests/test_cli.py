@@ -3,16 +3,37 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from hsp_sdp import cli
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 
 
+# Stdout pinned byte for byte. The plain runs were stored as, for example,
+#   python -m hsp_sdp.cli verify-catalog --p 3 --r 5 --tau 1 > verify_catalog_p3_r5_tau1.txt
+# and the mismatch files as the stdout of the tests that read them.
+CLI_DATA = Path(__file__).parent / "data" / "cli"
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stored(name):
+    return (CLI_DATA / name).read_text()
+
+
+@pytest.mark.parametrize("tau", [0, 1, 3])
+@pytest.mark.parametrize("command", ["enumerate", "verify-catalog"])
+def test_cli_reproduces_stored_stdout(capsys, command, tau):
+    code, out, _ = run_cli(capsys, [command, "--p", "3", "--r", "5", "--tau", str(tau)])
+    assert code == 0
+    assert out == stored(f"{command.replace('-', '_')}_p3_r5_tau{tau}.txt")
 
 
 # ----------------------------------------------------------------- enumerate
@@ -237,6 +258,42 @@ def test_verify_catalog_fails_on_missing_subgroup(capsys, monkeypatch):
     assert code == 1
     assert "catalog mismatch: 1 missing, 0 extra" in out.splitlines()
     assert out.rstrip().endswith("verify-catalog: FAIL")
+    assert out == stored("verify_catalog_mismatch_missing.txt")
+
+
+def _drop_lattice_members(monkeypatch, orders):
+    full = sg.brute_force_lattice_bits
+    monkeypatch.setattr(
+        sg,
+        "brute_force_lattice_bits",
+        lambda gp: [bits for bits in full(gp) if bits.bit_count() not in orders(gp)],
+    )
+
+
+def test_verify_catalog_fails_on_extra_descriptor(capsys, monkeypatch):
+    _drop_lattice_members(monkeypatch, lambda gp: (gp.order,))  # the whole group
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "catalog mismatch: 0 missing, 1 extra",
+        '  extra descriptor {"form":"sg2","i":0,"j":0}',
+    ]
+    assert out.rstrip().endswith("verify-catalog: FAIL")
+    assert out == stored("verify_catalog_mismatch_extra.txt")
+
+
+def test_verify_catalog_orders_mismatch_lines(capsys, monkeypatch):
+    # 13 missing members, several of one order, and 2 extra descriptors
+    full = sg.enumerate_catalog
+    monkeypatch.setattr(
+        sg, "enumerate_catalog", lambda gp: [d for d in full(gp) if d.form != "sg3"][5:]
+    )
+    _drop_lattice_members(monkeypatch, lambda gp: (1, gp.order))
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    assert out.splitlines()[0] == "catalog mismatch: 13 missing, 2 extra"
+    assert out == stored("verify_catalog_mismatch_both.txt")
 
 
 def test_verify_catalog_small_r_exit_2(capsys):

@@ -125,6 +125,23 @@ def curated_cases():
     ]
 
 
+def test_parent_table_bitset_decodes_to_elements():
+    # lifted catalog entries, with and without the 5-slot, and the curated cases
+    dec = cx.decompose(params())
+    e5 = dec.abelian[0].crt_unit
+    cases = list(curated_cases())
+    for d in sg.enumerate_catalog(dec.semidirect):
+        lifted = [(a * dec.p_crt_unit % N, b) for a, b in sg.generators(dec.semidirect, d)]
+        cases += [lifted, lifted + [(e5, 0)]]
+    steps = set()
+    for gens in cases:
+        table = sg.SubgroupTable.from_generators(dec.parent, gens)
+        steps.add(table.x_step)
+        bits = table.bitset()
+        assert sg.bitset_elements(bits, dec.parent.y_mod) == table.elements(), gens
+    assert any(s % 5 == 0 for s in steps)  # x-steps that are not powers of p = 3
+
+
 @pytest.mark.parametrize("k", range(len(curated_cases())))
 def test_solve_composite_matches_brute_force(k):
     gens = curated_cases()[k]

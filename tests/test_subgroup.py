@@ -178,13 +178,39 @@ def test_canonicalize_random_generating_sets():
 
 @pytest.mark.parametrize(
     "p,r,tau",
-    [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5)],
+    [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5), (3, 6, 1)],
 )
 def test_catalog_equals_brute_force_lattice_small(p, r, tau):
     gp = gr.make_group(p, r, tau, allow_unclassified=True)
     lattice = sg.brute_force_lattice(gp)
     catalog_sets = {sg.elements(gp, d) for d in sg.enumerate_catalog(gp)}
     assert catalog_sets == set(lattice)
+
+
+@pytest.mark.parametrize("p,r,tau", [(3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 5, 1)])
+def test_table_bitset_decodes_to_elements(p, r, tau):
+    gp = gr.make_group(p, r, tau)
+    for d in sg.enumerate_catalog(gp):
+        table = sg.table_for(gp, d)
+        bits = table.bitset()
+        assert bits.bit_count() == table.order
+        assert sg.bitset_elements(bits, gp.y_mod) == table.elements(), d
+
+
+def test_bitset_elements_indexes_a_times_y_mod_plus_b():
+    assert sg.bitset_elements(0, 9) == frozenset()
+    assert sg.bitset_elements(1, 9) == {gr.IDENTITY}
+    assert sg.bitset_elements((1 << 9 * 5 + 2) | (1 << 8), 9) == {(5, 2), (0, 8)}
+
+
+def test_brute_force_lattice_decodes_the_bitset_core():
+    gp = gr.make_group(3, 3, 1, allow_unclassified=True)
+    bits = sg.brute_force_lattice_bits(gp)
+    lattice = sg.brute_force_lattice(gp)
+    assert len(set(bits)) == len(bits) == len(lattice)
+    assert {sg.bitset_elements(b, gp.y_mod) for b in bits} == set(lattice)
+    keys = [(len(s), sorted(s)) for s in lattice]
+    assert keys == sorted(keys)
 
 
 def _generating_set(gp, elems):
@@ -219,6 +245,8 @@ def test_brute_force_lattice_guard():
     gp = gr.make_group(3, 13, 1)
     with pytest.raises(TooLarge):
         sg.brute_force_lattice(gp)
+    with pytest.raises(TooLarge):
+        sg.brute_force_lattice_bits(gp)
 
 
 # ---------------------------------------------------------------- normality
