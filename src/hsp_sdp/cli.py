@@ -181,19 +181,13 @@ def _normality_claims(catalog):
     """The catalog entries claimed to be normal and to contain the commutator
     subgroup: shallow pure-x chains, the two small grids, and every mixed
     form whose x depth stays at least two steps above the twist depth."""
-    claims = []
-    for d in catalog:
-        if d.form == "sg1x" and 1 <= d.i <= 3:
-            claims.append(d)
-        elif d.form == "sg2" and (d.i, d.j) in ((1, 1), (2, 1)):
-            claims.append(d)
-        elif d.form == "sg1m" and d.j == 1 and d.i <= 2:
-            claims.append(d)
-        elif d.form == "sg1m" and d.j == 0 and d.i <= 1:
-            claims.append(d)
-        elif d.form == "sg3" and d.i in (0, 1):
-            claims.append(d)
-    return claims
+    return [
+        d for d in catalog
+        if (d.form == "sg1x" and 1 <= d.i <= 3)
+        or (d.form == "sg2" and (d.i, d.j) in ((1, 1), (2, 1)))
+        or (d.form == "sg1m" and d.i <= 1 + d.j)
+        or (d.form == "sg3" and d.i <= 1)
+    ]
 
 
 def _by_elements(gp, bitsets) -> list[tuple[frozenset, int]]:
@@ -207,8 +201,11 @@ def _cmd_verify_catalog(args) -> int:
     catalog = sg.enumerate_catalog(gp)
     # the lattice first: its guard raises TooLarge before the catalog bitsets are built
     lattice = set(sg.brute_force_lattice_bits(gp))
-    by_bits = {sg.table_for(gp, d).bitset(): d for d in catalog}
-    ok = True
+    by_bits: dict[int, list[sg.Descriptor]] = {}
+    for d in catalog:
+        by_bits.setdefault(sg.table_for(gp, d).bitset(), []).append(d)
+    duplicated = [bits for bits, ds in by_bits.items() if len(ds) > 1]
+    ok = not duplicated
 
     missing = lattice - by_bits.keys()
     extra = by_bits.keys() - lattice
@@ -219,9 +216,12 @@ def _cmd_verify_catalog(args) -> int:
         for s, _ in _by_elements(gp, missing):
             print(f"  missing subgroup of order {len(s)}: sample {sorted(s)[:4]}")
         for _, bits in _by_elements(gp, extra):
-            print(f"  extra descriptor {_compact(sg.descriptor_to_json(by_bits[bits]))}")
-    else:
+            print(f"  extra descriptor {_compact(sg.descriptor_to_json(by_bits[bits][0]))}")
+    elif ok:
         print(f"catalog matches brute-force lattice: {len(catalog)} subgroups")
+    for _, bits in _by_elements(gp, duplicated):
+        tags = " = ".join(_compact(sg.descriptor_to_json(d)) for d in by_bits[bits])
+        print(f"catalog duplicate: {tags}")
 
     try:
         derived = sg.commutator_subgroup(gp)

@@ -38,10 +38,6 @@ class TooLarge(HspError):
     """Materialization / brute force guard exceeded."""
 
 
-class NotInCatalog(HspError):
-    """Canonicalization failed to match any catalog entry (internal bug)."""
-
-
 class RetriesExhausted(HspError):
     """A Las Vegas routine ran out of retry budget."""
 

@@ -97,10 +97,10 @@ def _constraint_routine(o, m, n, rng):
     extra, fallback = ([], [pure_x]) if cyclic else ([pure_x], [pure_x, (0, p)])
     top = min(m, n)
     reference = o.query(gr.IDENTITY)
-    k = qsim.pullback(o, domain)
+    support = qsim.pullback(o, domain)
     for attempt in range(1, qsim.RETRIES + 1):
         o.meter.attempt(attempt)
-        s = qsim.coset_sample(o, k, rng)
+        s = qsim.coset_sample(o, support, rng)
         c_a, c_b = qsim.fourier_sample(s, rng)
         t1 = recover_t(c_a, c_b, p**top)
         if t1 is None:

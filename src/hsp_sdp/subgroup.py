@@ -10,15 +10,22 @@ Four descriptor forms cover every subgroup of Z_{p^r} x| Z_{p^2}:
 
 with a unit mod q taken in [1, q). This table is the one spec of the
 descriptor space: _descriptor_space enumerates it and validate_descriptor
-tests membership. The forms overlap (sg3 at i = r-1 is cyclic); the catalog
-keeps the lexicographically least (form-rank, i, j, t) representative per
-element set.
+tests membership. It names each subgroup once, except that the p - 1 cyclic
+sg3(t, r-1) equal sg1m(t, r-1, 0); the catalog is the space without those
+aliases, in sort-key order, and builds no tables.
 
 Internally every subgroup is reduced to a transversal normal form
 (SubgroupTable): the x-axis intersection step d and, for each value b of the
 y-projection, the unique representative x-offset in [0, d). Two subgroups are
-equal iff their tables are equal, which keeps dedup, canonicalization and
-membership exact without materializing element sets.
+equal iff their tables are equal, which keeps canonicalization and membership
+exact without materializing element sets. canonicalize reads the catalog
+descriptor off the table. With d = p^k and pivot row (b, a) = reps[1], where
+b = p^j generates the y-projection and a = u*p^i for a unit u:
+
+    reps == ((0, 0),)            sg1x(k)
+    a == 0                       sg2(k, j) if k < r, else sg1m(1, r, j)
+    j == 0 and i + 1 == k < r    sg3(u mod p, i)
+    otherwise                    sg1m(u mod p^(k-i), i, j)
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import lru_cache, reduce
 
 from . import group as gr
 from . import numtheory as nt
-from .errors import InvalidDescriptor, NotInCatalog, TooLarge
+from .errors import InvalidDescriptor, TooLarge
 
 MATERIALIZE_GUARD = 2**24
 BRUTE_FORCE_GUARD = 2**20
@@ -237,32 +244,27 @@ def _descriptor_space(gp: gr.GroupParams) -> frozenset:
     return frozenset(space)
 
 
-@lru_cache(maxsize=None)
-def _catalog_with_index(gp: gr.GroupParams):
-    index: dict[SubgroupTable, Descriptor] = {}
-    kept: list[Descriptor] = []
-    # sort keys are unique, so the order does not depend on set iteration
-    for d in sorted(_descriptor_space(gp), key=Descriptor.sort_key):
-        table = table_for(gp, d)
-        if table not in index:
-            index[table] = d
-            kept.append(d)
-    return tuple(kept), index
-
-
 def enumerate_catalog(gp: gr.GroupParams) -> list[Descriptor]:
-    """All subgroups of G, one canonical descriptor each, deterministic order."""
-    return list(_catalog_with_index(gp)[0])
+    """All subgroups of G, one canonical descriptor each, in sort-key order."""
+    aliases = {sg3(t, gp.r - 1) for t in _units(gp.p, gp.p)}
+    return sorted(_descriptor_space(gp) - aliases, key=Descriptor.sort_key)
 
 
 def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:
-    """Map any generating set to its canonical catalog descriptor."""
+    """Map any generating set to its catalog descriptor (module docstring)."""
+    p, r = gp.p, gp.r
     table = SubgroupTable.from_generators(gp, gens)
-    index = _catalog_with_index(gp)[1]
-    try:
-        return index[table]
-    except KeyError as exc:  # the catalog is complete; this is a bug trap
-        raise NotInCatalog(f"no catalog entry for subgroup with table {table}") from exc
+    k = table.x_intersection_val(p)
+    if table.reps == ((0, 0),):
+        return sg1x(k)
+    b, a = table.reps[1]
+    j = nt.p_valuation(b, p)[0]
+    if a == 0:
+        return sg2(k, j) if k < r else sg1m(1, r, j)
+    i, u = nt.p_valuation(a, p)
+    if j == 0 and i + 1 == k < r:
+        return sg3(u % p, i)
+    return sg1m(u % p ** (k - i), i, j)
 
 
 def subgroup_order(gp: gr.GroupParams, d: Descriptor) -> int:

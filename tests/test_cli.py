@@ -296,6 +296,19 @@ def test_verify_catalog_orders_mismatch_lines(capsys, monkeypatch):
     assert out == stored("verify_catalog_mismatch_both.txt")
 
 
+def test_verify_catalog_fails_on_duplicate_descriptor(capsys, monkeypatch):
+    # sg3(1, r-1) is a valid descriptor of the cyclic subgroup sg1m(1, r-1, 0)
+    full = sg.enumerate_catalog
+    monkeypatch.setattr(sg, "enumerate_catalog", lambda gp: full(gp) + [sg.sg3(1, 4)])
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    assert out.splitlines()[0] == (
+        'catalog duplicate: {"form":"sg1m","t":1,"i":4,"j":0} = {"form":"sg3","t":1,"i":4}'
+    )
+    assert out.rstrip().endswith("verify-catalog: FAIL")
+    assert out == stored("verify_catalog_mismatch_duplicate.txt")
+
+
 def test_verify_catalog_small_r_exit_2(capsys):
     code, _, err = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "4", "--tau", "1"])
     assert code == 2

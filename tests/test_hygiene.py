@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and the
-CLI commands run without loading numpy."""
+"""Source hygiene: every module-level import in the package is used, every
+error class is raised somewhere, and the CLI commands run without loading
+numpy."""
 
 import ast
 import os
@@ -35,6 +36,25 @@ def test_no_unused_module_level_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom . import qsim\nimport numpy as np\nnp.zeros(1)\n")
     assert unused_imports(tree) == ["math (line 1)", "qsim (line 2)"]
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """Names of the classes in `raise C(...)` and `raise C` statements."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(ast.parse(path.read_text())) for path in MODULES))
+    assert declared - {"HspError"} - raised == set()
+    assert raised_names(ast.parse("raise A\nraise B('x') from None\nraise\n")) == {"A", "B"}
 
 
 NO_NUMPY_SCRIPT = """

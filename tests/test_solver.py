@@ -113,6 +113,20 @@ def test_solve_past_the_array_guard(p, r, tau):
     assert len(branches) == 2 * r + 1
 
 
+@pytest.mark.parametrize("p,r", [(47, 5), (101, 5), (3, 36)])
+def test_solve_large_groups_without_catalog_tables(p, r):
+    # the catalog and canonicalize build no table per entry, so large p is cheap
+    gp = gr.make_group(p, r, 1)
+    before = sg.table_for.cache_info().currsize
+    picks = random.Random(p * r).sample(sg.enumerate_catalog(gp), 4)
+    assert sg.canonicalize(gp, sg.generators(gp, picks[0])) == picks[0]
+    assert sg.table_for.cache_info().currsize == before
+    for k, d in enumerate(picks):
+        rep = solver.solve(orc.make_oracle(gp, d), seed=k)
+        assert rep.recovered == d
+        assert rep.verified
+
+
 def test_solve_abelian_group_direct_product():
     for k, d in enumerate(sg.enumerate_catalog(G350)):
         o = orc.make_oracle(G350, d)

@@ -14,6 +14,16 @@ from helpers import intersect_with_axis
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
 
+# groups on which the closed-form canonicalize is pinned to a table index
+INDEX_GROUPS = [
+    gr.make_group(p, r, tau, allow_unclassified=True)
+    for p, r, tau in [
+        (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 0), (5, 6, 1), (5, 6, 5),
+        (7, 5, 1), (7, 5, 7), (3, 12, 1), (11, 5, 1),
+        (3, 3, 1), (3, 3, 3), (3, 4, 1), (5, 3, 1), (13, 3, 1),
+    ]
+]
+
 
 def mulclose(gp, gens):
     """Independent subgroup closure: BFS over generator products."""
@@ -142,12 +152,24 @@ def test_catalog_count_and_determinism():
     assert len(sg.enumerate_catalog(G353)) == 62
 
 
+def table_index(gp):
+    """The catalog keyed by table, a complete invariant: the test oracle for
+    the closed-form canonicalize."""
+    catalog = sg.enumerate_catalog(gp)
+    index = {sg.table_for(gp, d): d for d in catalog}
+    assert len(index) == len(catalog)
+    return index
+
+
 def test_catalog_has_no_duplicate_element_sets():
     seen = {}
     for d in sg.enumerate_catalog(G351):
         elems = sg.elements(G351, d)
         assert elems not in seen, (d, seen[elems])
         seen[elems] = d
+    # tables are a complete invariant, so distinct tables are distinct sets
+    for gp in INDEX_GROUPS:
+        table_index(gp)
 
 
 def test_catalog_dedup_prefers_low_form_rank():
@@ -162,6 +184,9 @@ def test_canonicalize_round_trip_catalog():
     for gp in (G351, G353):
         for d in sg.enumerate_catalog(gp):
             assert sg.canonicalize(gp, sg.generators(gp, d)) == d
+    for gp in INDEX_GROUPS:
+        for table, d in table_index(gp).items():
+            assert sg.canonicalize(gp, sg.generators(gp, d)) == d, (gp, table)
 
 
 def test_canonicalize_random_generating_sets():
@@ -174,6 +199,18 @@ def test_canonicalize_random_generating_sets():
             ]
             d = sg.canonicalize(gp, gens)
             assert sg.elements(gp, d) == mulclose(gp, gens)
+    rng = random.Random(8)
+    for gp in INDEX_GROUPS:
+        index = table_index(gp)
+        for _ in range(200):
+            # x-coordinates scaled by random powers of p reach the deep subgroups
+            gens = [
+                (rng.randrange(gp.x_mod) * gp.p ** rng.randrange(gp.r + 1) % gp.x_mod,
+                 rng.randrange(gp.y_mod))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            table = sg.SubgroupTable.from_generators(gp, gens)
+            assert sg.canonicalize(gp, gens) == index[table], (gp, gens)
 
 
 @pytest.mark.parametrize(
