@@ -42,6 +42,11 @@ x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
     abelianization section     H contains the commutator <x^q>, q = p^(r-c),
       (u, v) on Z_q x Z_(p^2)  and x^(alpha - 1) lies in it
 
+Two pure functions of frozen values are cached at module level, which is
+exact: the probe's six points per (group, dims, axes) and K's annihilator
+per (dims, K generators). Labels, table reads and their charges are not
+cached, so every call still evaluates, meters and can raise.
+
 reference.level_set_scan labels every point and checks the coset structure
 by brute force; the tests pin the closed form against it.
 """
@@ -51,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import group as gr
 from . import numtheory as nt
@@ -105,10 +111,9 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
     gens: list[Register] = [
         tuple(1 if j == l else 0 for j in range(len(dims))) for l in range(len(dims))
     ]
-    for c in vectors:
-        ds = [
-            sum(cj * wj * wt for cj, wj, wt in zip(c, w, weights)) % L for w in gens
-        ]
+    for c in dict.fromkeys(map(tuple, vectors)):  # a repeat pairs to 0 with gens
+        cw = [cj * wt for cj, wt in zip(c, weights)]
+        ds = [sum(map(mul, cw, w)) % L for w in gens]
         live = [l for l in range(len(gens)) if ds[l]]
         if not live:
             continue
@@ -229,7 +234,12 @@ def pullback(o, domain: Domain) -> CosetSupport:
     gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
     k_gens = tuple(tuple(pt[i] for i in kept) for pt in gens)
     dims = domain.dims
-    return CosetSupport(dims, _zero(dims), k_gens, tuple(dual_kernel(dims, k_gens)))
+    return CosetSupport(dims, _zero(dims), k_gens, _annihilator(dims, k_gens))
+
+
+@lru_cache(maxsize=None)
+def _annihilator(dims: Register, k_gens: tuple[Register, ...]) -> tuple[Register, ...]:
+    return tuple(dual_kernel(dims, k_gens))
 
 
 def coset_sample(o, k: CosetSupport, rng) -> CosetSupport:
@@ -270,17 +280,21 @@ def _probe_embedding(o, domain: Domain) -> None:
     Holds both for genuine abelian subgroup embeddings and for sections of
     the abelianization quotient (where f factors through the quotient).
     """
-    gp, dims = o.group, domain.dims
-    e0 = tuple(1 if j == 0 else 0 for j in range(len(dims)))
-    elast = tuple(1 if j == len(dims) - 1 else 0 for j in range(len(dims)))
-    ones = (1,) * len(dims)
-    for u, w in ((e0, e0), (e0, elast), (ones, ones)):
-        lhs = o._sim_eval(gr.mul(gp, domain.embed(gp, u), domain.embed(gp, w)))
-        rhs = o._sim_eval(domain.embed(gp, _add(u, w, dims)))
-        if lhs != rhs:
+    for prod, summed in _probe_points(o.group, domain.dims, domain.axes):
+        if o._sim_eval(prod) != o._sim_eval(summed):
             raise PreconditionViolated(
                 f"domain {domain.name!r}: embedding incompatible with the hiding function"
             )
+
+
+@lru_cache(maxsize=None)
+def _probe_points(gp: gr.SemidirectGroup, dims: Register, axes: tuple) -> tuple:
+    """(embed(u) embed(w), embed(u + w)) for the probe's three pairs (u, w)."""
+    embed = Domain(dims, axes).embed  # keyed by value: the cache keeps no Domain
+    e0, elast = (1,) + (0,) * (len(dims) - 1), (0,) * (len(dims) - 1) + (1,)
+    ones = (1,) * len(dims)
+    return tuple((gr.mul(gp, embed(gp, u), embed(gp, w)), embed(gp, _add(u, w, dims)))
+                 for u, w in ((e0, e0), (e0, elast), (ones, ones)))
 
 
 def abelian_hsp(domain: Domain, o, rng) -> list[Register]:

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every
-error class is raised somewhere, and the CLI commands run without loading
-numpy."""
+error class is raised somewhere, the CLI commands run without loading numpy,
+and the module-level caches do not grow with oracles or seeds."""
 
 import ast
 import os
@@ -9,6 +9,12 @@ import subprocess
 import sys
 
 import pytest
+
+from hsp_sdp import group as gr
+from hsp_sdp import oracle as orc
+from hsp_sdp import qsim
+from hsp_sdp import solver
+from hsp_sdp import subgroup as sg
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hsp_sdp"
 MODULES = sorted(SRC.glob("*.py"))
@@ -84,3 +90,22 @@ def test_cli_commands_do_not_load_numpy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_caches_do_not_grow_with_oracles_or_seeds():
+    # a cache keyed by oracle or seed would grow with every round of solves
+    qsim._probe_points.cache_clear()
+    qsim._annihilator.cache_clear()
+
+    def solve_catalog(seeds):
+        for tau in (1, 3):
+            gp = gr.make_group(3, 5, tau)
+            for d in sg.enumerate_catalog(gp):
+                for seed in seeds:
+                    solver.solve(orc.make_oracle(gp, d), seed=seed)
+        return qsim._probe_points.cache_info().currsize, qsim._annihilator.cache_info().currsize
+
+    first = solve_catalog((0, 1))
+    # per group: both axes and the abelian route; tau = 3 adds the abelianization
+    assert first[0] == 7
+    assert solve_catalog((2, 3)) == first

@@ -85,6 +85,27 @@ def test_dual_kernel_rejects_mixed_primes():
         qsim.dual_kernel((3, 4), [(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "dims", [(243,), (9,), (81, 9), (3, 9), (25, 25), (125, 25), (7, 49), (27, 9, 3)]
+)
+def test_dual_kernel_ignores_repeats_and_zeros(dims):
+    rng = random.Random(math.prod(dims))
+    L = math.lcm(*dims)
+    zero = (0,) * len(dims)
+    points = list(itertools.product(*map(range, dims))) if math.prod(dims) <= 729 else []
+    for _ in range(30):
+        vs = [tuple(rng.randrange(n) for n in dims) for _ in range(rng.randrange(5))]
+        gens = qsim.dual_kernel(dims, vs)
+        assert qsim.dual_kernel(dims, vs + vs[::-1] + [zero]) == gens
+        if points:
+            want = {
+                w for w in points
+                if all(sum(a * b * (L // n) for a, b, n in zip(w, v, dims)) % L == 0
+                       for v in vs)
+            }
+            assert register_span(dims, gens) == want
+
+
 # ---------------------------------------------------------------- coset_sample
 
 def test_coset_support_structure_mixed_cyclic():
@@ -474,6 +495,22 @@ def test_abelian_hsp_catalog_sweep_embedded_plane():
             if ((9 * u) % 243, v) in hidden
         }
         assert register_span(dims, gens) == want, descr
+
+
+def test_probe_charges_and_can_raise_on_every_call():
+    # the abelianization section (u, v) -> x^u y^v; the commutator is <x^27>
+    dom = qsim.Domain((27, 9), ((1, 0), (0, 1)), name="abelianization")
+    o = orc.make_oracle(G351, sg.sg1x(3))
+    gens = qsim.abelian_hsp(dom, o, random.Random(24))
+    assert register_span(dom.dims, gens) == {(0, 0)}
+    sim_evals, queries = o.meter.sim_evals, o.meter.queries
+    qsim._probe_embedding(o, dom)
+    assert (o.meter.sim_evals - sim_evals, o.meter.queries) == (6, queries)
+    # (x y)^2 = x^29 y^2 differs from x^2 y^2 once H misses the commutator
+    fresh = orc.make_oracle(G351, sg.sg1x(5))
+    with pytest.raises(PreconditionViolated):
+        qsim.abelian_hsp(dom, fresh, random.Random(24))
+    assert (fresh.meter.sim_evals, fresh.meter.queries) == (6, 0)
 
 
 def test_abelian_hsp_deterministic():
