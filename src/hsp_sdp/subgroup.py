@@ -9,10 +9,11 @@ Four descriptor forms cover every subgroup of Z_{p^r} x| Z_{p^2}:
     sg3(t, i)      <x^(t*p^i) y, x^(p^(i+1))>      0 <= i < r, t unit mod p
 
 with a unit mod q taken in [1, q). This table is the one spec of the
-descriptor space: _descriptor_space enumerates it and validate_descriptor
-tests membership. It names each subgroup once, except that the p - 1 cyclic
-sg3(t, r-1) equal sg1m(t, r-1, 0); the catalog is the space without those
-aliases, in sort-key order, and builds no tables.
+descriptor space: _descriptor_space enumerates it, and validate_descriptor
+checks one descriptor against its ranges without enumerating. It names each
+subgroup once, except that the p - 1 cyclic sg3(t, r-1) equal
+sg1m(t, r-1, 0); the catalog is the space without those aliases, in
+sort-key order, and builds no tables.
 
 Internally every subgroup is reduced to a transversal normal form
 (SubgroupTable): the x-axis intersection step d and, for each value b of the
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 from . import group as gr
 from . import numtheory as nt
@@ -99,8 +101,24 @@ def descriptor_from_json(blob: dict) -> Descriptor:
     return Descriptor(form, blob["i"], t=blob.get("t"), j=blob.get("j"))
 
 
+def _is_unit(t, modulus: int, p: int) -> bool:
+    """t is a unit mod the p-power modulus taken in [1, modulus), or t = 1 if
+    the modulus is 1."""
+    return t == 1 if modulus == 1 else t in range(1, modulus) and t % p != 0
+
+
 def validate_descriptor(gp: gr.GroupParams, d: Descriptor) -> None:
-    if d not in _descriptor_space(gp):
+    """Check d against the module docstring's range table, as a predicate."""
+    p, r, i, t, j = gp.p, gp.r, d.i, d.t, d.j
+    if d.form == "sg1x":
+        ok = i in range(r + 1) and t is None and j is None
+    elif d.form == "sg1m":
+        ok = j in (0, 1) and i in range(r + 1) and _is_unit(t, p ** min(r - i, 2 - j), p)
+    elif d.form == "sg2":
+        ok = i in range(r) and j in (0, 1) and t is None
+    else:
+        ok = d.form == "sg3" and i in range(r) and j is None and _is_unit(t, p, p)
+    if not ok:
         raise InvalidDescriptor(f"{d} is out of range for p={gp.p}, r={gp.r}")
 
 
@@ -339,63 +357,17 @@ def bitset_elements(bits: int, y_mod: int) -> SubgroupSet:
     return frozenset(out)
 
 
-def _mulclose(gp: gr.SemidirectGroup, gens) -> int:
-    seen = bytearray(b"0") * gp.order
-    seen[0] = _ON  # the identity
-    frontier = [gr.IDENTITY]
-    apow = gr._alpha_pows(gp)
-    x_mod, y_mod = gp.x_mod, gp.y_mod
-    while frontier:
-        nxt = []
-        for a1, b1 in frontier:
-            t = apow[b1]
-            for a2, b2 in gens:
-                a, b = (a1 + a2 * t) % x_mod, (b1 + b2) % y_mod
-                idx = a * y_mod + b
-                if seen[idx] == _OFF:
-                    seen[idx] = _ON
-                    nxt.append((a, b))
-        frontier = nxt
-    return _flags_to_bits(seen)
+def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[int]]:
+    """Every cyclic subgroup of G as (bitsets, orders, generator indices).
 
-
-def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
-    """Every subgroup of G as an int bitset over the element index
-    a*y_mod + b, in discovery order: cyclic subgroups, then pairwise joins
-    to fixpoint.
-
-    A reference independent of the catalog: it uses the group law only
-    (alpha powers, multiplication), never descriptors, normal-form tables or
-    structural facts such as a bound on the number of generators. A subset
-    test is ``A & B == A`` and an order is a popcount, taken once per member.
-
-    Cyclic subgroups: walking <g> lists g^k for k = 1..ord(g); every g^k with
-    gcd(k, ord(g)) = 1 generates the same <g>, so those elements are skipped
-    as later starting points, and every remaining element gives a new one.
-
-    Joins use the product formula. For subgroups A and B the set AB has
-    exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
-    K already found contains A u B and has exactly that order, then
-    AB <= <A, B> <= K with |AB| = |K|, so <A, B> = K and no closure is
-    needed. Any other incomparable pair is closed under multiplication.
+    Walking <g> lists g^k for k = 1..ord(g); every g^k with gcd(k, ord(g)) = 1
+    generates the same <g>, so those elements are skipped as later starting
+    points, and every remaining element gives a new one. So each element
+    generates exactly one of the subgroups listed.
     """
-    if gp.order > BRUTE_FORCE_GUARD:
-        raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
-
-    found: list[int] = []  # bitsets in discovery order
-    orders: list[int] = []  # popcount of each member of found
-    gens_of: dict[int, tuple] = {}  # bitset -> generators
-    by_order: dict[int, list[int]] = {}
-
-    def add(bits: int, order: int, gens: tuple) -> None:
-        if bits not in gens_of:
-            gens_of[bits] = gens
-            found.append(bits)
-            orders.append(order)
-            by_order.setdefault(order, []).append(bits)
-
+    found, orders, gen_idx = [], [], []
     covered = bytearray(gp.order)
     flags = bytearray(b"0") * gp.order
     for idx in range(gp.order):
@@ -412,24 +384,124 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
             flags[pdx] = _ON
             if math.gcd(k, n) == 1:
                 covered[pdx] = 1
-        add(_flags_to_bits(flags), n, (g,))
+        found.append(_flags_to_bits(flags))
+        orders.append(n)
+        gen_idx.append(idx)
         for pdx in powers:
             flags[pdx] = _OFF
+    return found, orders, gen_idx
+
+
+def _cyclic_mask(gp: gr.GroupParams, bits: int, cyclic_gens: list[int]) -> int:
+    """Bit c is set when the subgroup bitset holds generator c, that is,
+    when the subgroup contains cyclic subgroup c."""
+    flags = format(bits, f"0{gp.order}b")[::-1]  # flags[i] is bit i
+    return int("".join(itemgetter(*cyclic_gens)(flags))[::-1], 2)
+
+
+def _columns(gp: gr.SemidirectGroup, bits: int) -> list[tuple[int, int]]:
+    """The bitset split by b: (b, column) for every nonempty column, where the
+    column has bit a*y_mod set when (a, b) is in the bitset."""
+    col0 = int(("0" * (gp.y_mod - 1) + "1") * gp.x_mod, 2)
+    return [(b, col) for b in range(gp.y_mod) if (col := bits >> b & col0)]
+
+
+def _right_coset(gp: gr.SemidirectGroup, columns: list[tuple[int, int]], k: gr.Element) -> int:
+    """The right coset A*k as a bitset, from A's _columns.
+
+    (a, b)*k = (a + alpha^b*a_k, b + b_k), so column b is rotated by
+    alpha^b*a_k and moved to column b + b_k: a left shift, folded modulo |G|.
+    """
+    ak, bk = k
+    apow = gr._alpha_pows(gp)
+    x_mod, y_mod, order = gp.x_mod, gp.y_mod, gp.order
+    out = 0
+    for b, col in columns:
+        out |= col << (apow[b] * ak % x_mod * y_mod + (b + bk) % y_mod)
+    return out & ((1 << order) - 1) | out >> order
+
+
+def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
+    """<A, gens> for the subgroup bitset A, as a union of right cosets A*k.
+
+    Starting from the identity, each k reached by right-multiplying by a
+    generator that is not yet in the union adds its coset A*k. A k already in
+    the union lies in a coset A*k' taken before, and then A*k = A*k'. So the
+    union ends closed under right multiplication by every generator, which
+    makes it <A, gens>.
+    """
+    apow = gr._alpha_pows(gp)
+    x_mod, y_mod = gp.x_mod, gp.y_mod
+    columns = _columns(gp, bits)
+    join, frontier = bits, [gr.IDENTITY]
+    while frontier:
+        nxt = []
+        for a1, b1 in frontier:
+            t = apow[b1]
+            for a2, b2 in gens:
+                k = (a1 + a2 * t) % x_mod, (b1 + b2) % y_mod
+                if not join >> (k[0] * y_mod + k[1]) & 1:
+                    join |= _right_coset(gp, columns, k)
+                    nxt.append(k)
+        frontier = nxt
+    return join
+
+
+def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
+    """Every subgroup of G as an int bitset over the element index
+    a*y_mod + b, in discovery order: cyclic subgroups, then pairwise joins
+    to fixpoint.
+
+    A reference independent of the catalog: it uses the group law only
+    (alpha powers, multiplication), never descriptors, normal-form tables or
+    structural facts such as a bound on the number of generators. An order
+    is a popcount, taken once per member.
+
+    Containment is tested on masks with one bit per cyclic subgroup
+    (_cyclic_mask), far fewer bits than |G|. A subgroup is the union of the
+    cyclic subgroups of its elements, so A <= K exactly when
+    mask(A) & mask(K) == mask(A). Element bitsets are used only for |A n B|
+    (one AND, one popcount), for closures and for the output.
+
+    Joins use the product formula. For subgroups A and B the set AB has
+    exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
+    K already found contains A u B and has exactly that order, then
+    AB <= <A, B> <= K with |AB| = |K|, so <A, B> = K and no closure is
+    needed. Any other incomparable pair is closed by right cosets of the
+    larger member (_coset_closure).
+    """
+    if gp.order > BRUTE_FORCE_GUARD:
+        raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
+    # in discovery order: bitsets, their popcounts and their masks
+    found, orders, cyclic_gens = _cyclic_subgroups(gp)
+    masks = [_cyclic_mask(gp, bits, cyclic_gens) for bits in found]
+    gens_of = {bits: (divmod(i, gp.y_mod),) for bits, i in zip(found, cyclic_gens)}
+    by_order: dict[int, list[int]] = {}  # order -> masks
+    for order, mask in zip(orders, masks):
+        by_order.setdefault(order, []).append(mask)
 
     # found grows while it is walked, so joins of new members are tried too
     for idx, bits_a in enumerate(found):
-        order_a = orders[idx]
-        for bits_b, order_b in zip(found[:idx], orders[:idx]):
-            meet = bits_a & bits_b
-            if meet == bits_a or meet == bits_b:
+        order_a, mask_a = orders[idx], masks[idx]
+        for bits_b, order_b, mask_b in zip(found[:idx], orders[:idx], masks[:idx]):
+            meet = mask_a & mask_b
+            if meet == mask_a or meet == mask_b:
                 continue
-            union = bits_a | bits_b
-            order = order_a * order_b // meet.bit_count()
-            if any(k & union == union for k in by_order.get(order, ())):
-                continue  # <A, B> = AB is already in the lattice
-            gens = gens_of[bits_a] + gens_of[bits_b]
-            bits = _mulclose(gp, gens)
-            add(bits, bits.bit_count(), gens)
+            union = mask_a | mask_b
+            order = order_a * order_b // (bits_a & bits_b).bit_count()
+            for k in by_order.get(order, ()):
+                if k & union == union:
+                    break  # <A, B> = AB is already in the lattice
+            else:
+                gens = gens_of[bits_a] + gens_of[bits_b]
+                big = bits_a if order_a >= order_b else bits_b
+                bits = _coset_closure(gp, big, gens)
+                if bits not in gens_of:
+                    gens_of[bits] = gens
+                    found.append(bits)
+                    orders.append(bits.bit_count())
+                    masks.append(_cyclic_mask(gp, bits, cyclic_gens))
+                    by_order.setdefault(orders[-1], []).append(masks[-1])
     return found
 
 

@@ -36,6 +36,13 @@ def test_cli_reproduces_stored_stdout(capsys, command, tau):
     assert out == stored(f"{command.replace('-', '_')}_p3_r5_tau{tau}.txt")
 
 
+@pytest.mark.parametrize("tau", [1, 5])
+def test_verify_catalog_reproduces_stored_stdout_at_p5(capsys, tau):
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "5", "--r", "5", "--tau", str(tau)])
+    assert code == 0
+    assert out == stored(f"verify_catalog_p5_r5_tau{tau}.txt")
+
+
 # ----------------------------------------------------------------- enumerate
 
 def test_enumerate_emits_catalog_as_json_lines(capsys):

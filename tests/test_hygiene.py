@@ -1,8 +1,10 @@
 """Source hygiene: every module-level import in the package is used, every
-error class is raised somewhere, the CLI commands run without loading numpy,
+module-level function and class is referenced somewhere, every error class is
+raised somewhere, the CLI commands run without loading numpy,
 and the module-level caches do not grow with oracles or seeds."""
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -42,6 +44,66 @@ def test_no_unused_module_level_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom . import qsim\nimport numpy as np\nnp.zeros(1)\n")
     assert unused_imports(tree) == ["math (line 1)", "qsim (line 2)"]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ROOT = SRC.parent.parent
+CODE = sorted(path for part in ("src", "tests", "demos") for path in (ROOT / part).rglob("*.py"))
+
+
+def referenced_names(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names, attribute names and imported names read in tree, outside the
+    module-level definition named skip."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, DEFINITIONS) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def unused_definitions(tree: ast.Module, elsewhere: set[str]) -> list[str]:
+    """Module-level functions and classes of tree that neither the rest of
+    tree nor the names referenced elsewhere include."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and node.name not in elsewhere
+        and node.name not in referenced_names(tree, skip=node.name)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def names_in(path: pathlib.Path) -> frozenset[str]:
+    return frozenset(referenced_names(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_module_level_definition_is_referenced(path):
+    # referenced somewhere in src/, tests/ or demos/, outside its own body
+    elsewhere = set().union(*(names_in(other) for other in CODE if other != path))
+    assert unused_definitions(ast.parse(path.read_text()), elsewhere) == []
+
+
+def test_unused_definition_is_caught():
+    tree = ast.parse(
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Kept:\n    pass\n"
+        "class Dropped:\n    pass\n"
+        "def caller():\n    return used()\n"
+    )
+    other = ast.parse("from m import Kept\nimport m\nm.caller()\n")
+    assert unused_definitions(tree, referenced_names(other)) == [
+        "recursive (line 3)", "Dropped (line 7)",
+    ]
 
 
 def raised_names(tree: ast.Module) -> set[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -285,6 +286,62 @@ def test_brute_force_lattice_guard():
     with pytest.raises(TooLarge):
         sg.brute_force_lattice_bits(gp)
 
+
+
+# sha256 of ",".join(map(hex, brute_force_lattice_bits(gp))), recorded from the
+# element-by-element closure that the coset closure replaced: the list and its
+# discovery order are pinned
+LATTICE_DIGESTS = {
+    (3, 5, 0): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
+    (3, 5, 1): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
+    (3, 5, 3): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
+    (3, 6, 1): "94853ef121dbf2e5fada7b1cbb58000e3b5932ee74d309eec8b312a7748c3a76",
+    (5, 5, 1): "5fe153e54dbf931646e82deb2c905032d7a9474285095cc542eba11e5e4ae91e",
+}
+
+
+@pytest.mark.parametrize("p,r,tau", sorted(LATTICE_DIGESTS))
+def test_brute_force_lattice_bits_keeps_its_discovery_order(p, r, tau):
+    bits = sg.brute_force_lattice_bits(gr.make_group(p, r, tau))
+    digest = hashlib.sha256(",".join(map(hex, bits)).encode()).hexdigest()
+    assert digest == LATTICE_DIGESTS[(p, r, tau)]
+
+
+@pytest.mark.parametrize("p,r,tau", [(3, 5, 1), (5, 3, 1)])
+def test_right_coset_matches_elementwise_products(p, r, tau):
+    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    rng = random.Random(13)
+    for bits in sg.brute_force_lattice_bits(gp):
+        members = sg.bitset_elements(bits, gp.y_mod)
+        columns = sg._columns(gp, bits)
+        for _ in range(3):
+            k = (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod))
+            coset = sg._right_coset(gp, columns, k)
+            assert sg.bitset_elements(coset, gp.y_mod) == {gr.mul(gp, h, k) for h in members}
+
+
+@pytest.mark.parametrize("tau", [0, 1, 3])
+def test_cyclic_mask_containment_equals_bitset_containment(tau):
+    gp = gr.make_group(3, 5, tau)
+    _, _, cyclic_gens = sg._cyclic_subgroups(gp)
+    lattice = sg.brute_force_lattice_bits(gp)
+    masks = [sg._cyclic_mask(gp, bits, cyclic_gens) for bits in lattice]
+    assert len(set(masks)) == len(lattice)
+    for a, mask_a in zip(lattice, masks):
+        for b, mask_b in zip(lattice, masks):
+            assert (mask_a & mask_b == mask_a) == (a & b == a)
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_coset_closure_matches_generator_closure(tau):
+    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    lattice = sg.brute_force_lattice_bits(gp)
+    rng = random.Random(17)
+    for bits in lattice:
+        gens = [(rng.randrange(gp.x_mod), rng.randrange(gp.y_mod)) for _ in range(2)]
+        members = sg.bitset_elements(bits, gp.y_mod)
+        want = mulclose(gp, _generating_set(gp, members) + gens)
+        assert sg.bitset_elements(sg._coset_closure(gp, bits, gens), gp.y_mod) == want
 
 # ---------------------------------------------------------------- normality
 
