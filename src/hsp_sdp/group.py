@@ -13,11 +13,13 @@ per-element range validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import numtheory as nt
-from .errors import AbelianGroup, InvalidPrime, Overflow, RTooSmall
+from .errors import (
+    AbelianGroup, InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall
+)
 
 Element = tuple[int, int]
 
@@ -56,14 +58,16 @@ class GroupParams(SemidirectGroup):
 
 
 def make_semidirect(x_mod: int, p: int, alpha: int) -> SemidirectGroup:
-    """Generic constructor; validates the twist order divides p^2."""
+    """Generic constructor, with the one order guard and twist check."""
     if x_mod < 1 or p < 2:
-        raise ValueError("x_mod and p must be positive")
+        raise PreconditionViolated(f"need x_mod >= 1 and p >= 2, got x_mod={x_mod}, p={p}")
     if x_mod * p * p >= ORDER_GUARD:
         raise Overflow("group order must stay below 2**63")
     alpha %= x_mod
-    if math.gcd(alpha, x_mod) != 1 or pow(alpha, p * p, x_mod) != 1:
-        raise ValueError("alpha must be a unit of order dividing p^2")
+    if math.gcd(alpha, x_mod) != 1:
+        raise NotInvertible(f"alpha = {alpha} is not a unit mod {x_mod}")
+    if pow(alpha, p * p, x_mod) != 1:
+        raise PreconditionViolated(f"alpha = {alpha} does not have order dividing p^2 mod {x_mod}")
     return SemidirectGroup(x_mod=x_mod, p=p, alpha=alpha, y_mod=p * p)
 
 
@@ -85,23 +89,12 @@ def make_group(p: int, r: int, tau: int, allow_unclassified: bool = False) -> Gr
             f"r={r} is below the classified range (r > 4); "
             "pass allow_unclassified=True for brute-force experiments"
         )
-    y_mod = p * p
-    tau %= y_mod
-    x_mod = p**r
-    if x_mod * y_mod >= ORDER_GUARD:
-        raise Overflow("group order p^(r+2) must stay below 2**63")
-    alpha = (tau * p ** (r - 2) + 1) % x_mod
-    g = math.gcd(tau, y_mod)
+    tau %= p * p
+    base = make_semidirect(p**r, p, tau * p ** (r - 2) + 1)
+    g = math.gcd(tau, p * p)
     class_tag = CLASS1 if g == 1 else CLASS2 if g == p else CLASS_ABELIAN
     return GroupParams(
-        x_mod=x_mod,
-        p=p,
-        alpha=alpha,
-        y_mod=y_mod,
-        r=r,
-        tau=tau,
-        class_tag=class_tag,
-        unclassified=unclassified,
+        **asdict(base), r=r, tau=tau, class_tag=class_tag, unclassified=unclassified
     )
 
 
@@ -126,27 +119,17 @@ def inv(gp: SemidirectGroup, g: Element) -> Element:
     return (-a * apow[-b % gp.y_mod] % gp.x_mod, -b % gp.y_mod)
 
 
-def _geometric_sum(beta: int, k: int, modulus: int) -> int:
-    """1 + beta + ... + beta^(k-1) mod modulus, by binary splitting.
-
-    beta - 1 is typically a zero divisor here, so no closed-form division.
-    """
-    if k == 0:
-        return 0
-    half = _geometric_sum(beta, k // 2, modulus)
-    total = half * (1 + pow(beta, k // 2, modulus)) % modulus
-    if k % 2:
-        total = (total + pow(beta, k - 1, modulus)) % modulus
-    return total
-
-
 def power(gp: SemidirectGroup, g: Element, k: int) -> Element:
-    """g^k for any integer k, in O(log k) multiplications."""
+    """g^k for any integer k, by square-and-multiply in O(log |k|) mul calls."""
     if k < 0:
         return inv(gp, power(gp, g, -k))
-    a, b = g
-    beta = _alpha_pows(gp)[b]
-    return (a * _geometric_sum(beta, k, gp.x_mod) % gp.x_mod, k * b % gp.y_mod)
+    out = IDENTITY
+    while k:
+        if k & 1:
+            out = mul(gp, out, g)
+        g = mul(gp, g, g)
+        k >>= 1
+    return out
 
 
 def conjugate(gp: SemidirectGroup, g: Element, h: Element) -> Element:

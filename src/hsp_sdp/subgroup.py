@@ -152,38 +152,29 @@ class SubgroupTable:
 
     @classmethod
     def from_generators(cls, gp: gr.SemidirectGroup, gens) -> "SubgroupTable":
-        p, x_mod, y_mod = gp.p, gp.x_mod, gp.y_mod
-        gens = [g for g in gens if g != gr.IDENTITY]
+        """One walk of the pivot's powers, until y returns to 0, gives every
+        row and the wrap. Mixed g with y-value k*b_pivot gives the residue
+        pivot^-k * g = ((a_g - a_k) * alpha^-b_g, 0), same gcd as a_g - a_k."""
+        x_mod, y_mod = gp.x_mod, gp.y_mod
+        x_parts = [a for a, b in gens if b == 0]  # the identity adds nothing
         mixed = [g for g in gens if g[1] != 0]
         if not mixed:
-            d = reduce(math.gcd, (a for a, _ in gens), x_mod)
-            return cls(x_mod, y_mod, d, ((0, 0),))
-
-        def y_val(b: int) -> int:
-            return 0 if b % p else 1
-
-        pivot = min(mixed, key=lambda g: (y_val(g[1]), g))
-        nv = y_val(pivot[1])
-        span = p ** (2 - nv)  # size of the y-projection
-        unit = nt.mod_inv(pivot[1] // p**nv, span)
-        x_parts = [a for a, b in gens if b == 0]
-        for g in mixed:
-            if g is pivot:
-                continue
-            k = (g[1] // p**nv) * unit % span
-            residue = gr.mul(gp, g, gr.power(gp, pivot, -k))
-            assert residue[1] == 0
-            x_parts.append(residue[0])
-        wrap = gr.power(gp, pivot, span)
-        assert wrap[1] == 0
-        x_parts.append(wrap[0])
+            return cls(x_mod, y_mod, reduce(math.gcd, x_parts, x_mod), ((0, 0),))
+        pivot = min(mixed, key=lambda g: (g[1] % gp.p == 0, g))  # b of least p-valuation
+        a_p, b_p = pivot
+        apow = gr._alpha_pows(gp)
+        xs, (a, b) = [0], pivot
+        while b:  # up to the wrap (a, 0)
+            xs.append(a)
+            a, b = (a + a_p * apow[b]) % x_mod, (b + b_p) % y_mod
+        x_parts.append(a)
+        span = len(xs)
+        step = y_mod // span  # p^(valuation of b_pivot), which divides every b_g
+        unit = nt.mod_inv(b_p // step, span)
+        x_parts.extend(a_g - xs[b_g // step * unit % span] for a_g, b_g in mixed)
         d = reduce(math.gcd, x_parts, x_mod)
-        reps = []
-        cur = gr.IDENTITY
-        for _ in range(span):
-            reps.append((cur[1], cur[0] % d))
-            cur = gr.mul(gp, cur, pivot)
-        return cls(x_mod, y_mod, d, tuple(sorted(reps)))
+        reps = sorted((k * b_p % y_mod, a_k % d) for k, a_k in enumerate(xs))
+        return cls(x_mod, y_mod, d, tuple(reps))
 
     @property
     def order(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 from hsp_sdp import cli
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
+from hsp_sdp.errors import InvalidDescriptor, RetriesExhausted
 
 
 # Stdout pinned byte for byte. The plain runs were stored as, for example,
@@ -179,6 +180,53 @@ def test_solve_non_integer_descriptor_field_exit_2(capsys):
         assert "integers" in err
 
 
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        ({"form": "sg9", "i": 0}, "unknown form 'sg9'"),
+        ({"form": "sg1x", "i": 0, "t": 1}, "wrong fields for sg1x"),
+        ({"form": "sg1m", "i": 0, "t": 1}, "wrong fields for sg1m"),
+    ],
+)
+def test_bad_descriptor_form_or_fields_exit_2(capsys, blob, message):
+    with pytest.raises(InvalidDescriptor, match=message):
+        sg.descriptor_from_json(blob)
+    argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", "--subgroup", json.dumps(blob)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "3", "--r", "5", "--tau", "1", "--generators", "{}"],
+         "generators must be a JSON list"),
+        (["--N", "1215", "--p", "3", "--alpha", "271", "--r", "5", "--generators", "[[3,0]]"],
+         "--r/--tau do not apply in composite mode"),
+        (["--N", "1215", "--p", "3", "--alpha", "271", "--tau", "1", "--generators", "[[3,0]]"],
+         "--r/--tau do not apply in composite mode"),
+        (["--N", "1215", "--p", "3", "--generators", "[[3,0]]"],
+         "composite mode requires --alpha"),
+        (["--N", "1215", "--p", "3", "--alpha", "271", "--subgroup", '{"form":"sg1x","i":1}'],
+         "descriptors index the prime-power catalog"),
+        (["--N", "1215", "--p", "3", "--alpha", "271", "--generators", "[[3,0]]",
+          "--strategy", "direct"],
+         "composite mode chooses its own per-factor strategies"),
+        (["--N", "1215", "--p", "3", "--alpha", "3", "--generators", "[[3,0]]"],
+         "is not a unit mod 1215"),
+        (["--p", "3", "--subgroup", '{"form":"sg1x","i":1}'],
+         "--r and --tau are required unless --N is given"),
+        (["--p", "3", "--r", "5", "--generators", "[[3,0]]"],
+         "--r and --tau are required unless --N is given"),
+    ],
+)
+def test_solve_input_checks_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["solve"] + argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_solve_rejects_boolean_generator_exit_2(capsys):
     argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", "--generators", "[[true,0]]"]
     code, out, err = run_cli(capsys, argv)
@@ -239,6 +287,27 @@ def test_sweep_is_deterministic_and_parallel_agrees(capsys, monkeypatch):
     monkeypatch.setenv("HSP_SDP_THREADS", "4")
     out2 = run_cli(capsys, argv)[1]
     assert out1 == out2
+
+
+def test_sweep_row_reads_zero_success_on_exhausted_retries(capsys, monkeypatch):
+    # one worker runs the catalog in order, one solve per entry with --trials 1
+    monkeypatch.setenv("HSP_SDP_THREADS", "1")
+    real, calls = solver.solve, []
+
+    def solve(o, **kwargs):
+        calls.append(o)
+        if len(calls) == 5:
+            raise RetriesExhausted("injected")
+        return real(o, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", solve)
+    argv = ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 62
+    assert rows[5][1:] == ["0", "0", "nan", "nan"]
+    assert all(row[1] == "1" for i, row in enumerate(rows[1:], 1) if i != 5)
 
 
 def test_sweep_rejects_non_positive_trials_exit_2(capsys):
@@ -314,6 +383,31 @@ def test_verify_catalog_fails_on_duplicate_descriptor(capsys, monkeypatch):
     )
     assert out.rstrip().endswith("verify-catalog: FAIL")
     assert out == stored("verify_catalog_mismatch_duplicate.txt")
+
+
+def test_verify_catalog_fails_on_wrong_derived_subgroup(capsys, monkeypatch):
+    monkeypatch.setattr(sg, "commutator_subgroup", lambda gp: sg.sg1x(gp.r - 1))
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    assert (
+        'derived subgroup {"form":"sg1x","i":4} equals brute-force commutators: '
+        "FAIL (order 3, commutator set of 9)"
+    ) in out.splitlines()
+    assert out.rstrip().endswith("verify-catalog: FAIL")
+
+
+def test_verify_catalog_fails_on_a_claim_that_is_not_normal(capsys, monkeypatch):
+    full = sg.is_normal
+    monkeypatch.setattr(sg, "is_normal", lambda gp, d: d != sg.sg1x(2) and full(gp, d))
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.endswith(")") and "FAIL" in line]
+    assert fails == [
+        'normal, contains commutator subgroup: {"form":"sg1x","i":2}: '
+        "FAIL (normal=False, contains=True)"
+    ]
+    assert lines[-1] == "verify-catalog: FAIL"
 
 
 def test_verify_catalog_small_r_exit_2(capsys):

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from hsp_sdp import group as gr
-from hsp_sdp.errors import AbelianGroup, InvalidPrime, Overflow, RTooSmall
+from hsp_sdp.errors import (
+    AbelianGroup,
+    InvalidPrime,
+    NotInvertible,
+    Overflow,
+    PreconditionViolated,
+    RTooSmall,
+)
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -128,6 +135,21 @@ def test_power_matches_iterated_mul():
             assert gr.power(gp, g, -k) == gr.inv(gp, acc)
 
 
+@pytest.mark.parametrize(
+    "gp", [G351, G353, gr.make_semidirect(1215, 3, 271)], ids=["351", "353", "1215"]
+)
+def test_power_matches_iterated_mul_up_to_the_group_order(gp):
+    rng = random.Random(6)
+    for _ in range(4):
+        g = (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod))
+        acc = [gr.IDENTITY]
+        for _ in range(gp.order):
+            acc.append(gr.mul(gp, acc[-1], g))
+        for k in [gp.order, gp.order - 1] + rng.sample(range(gp.order), 60):
+            assert gr.power(gp, g, k) == acc[k]
+            assert gr.power(gp, g, -k) == gr.inv(gp, acc[k])
+
+
 def test_element_order():
     assert gr.element_order(G351, (1, 0)) == 243
     assert gr.element_order(G351, (0, 0)) == 1
@@ -186,3 +208,28 @@ def test_semidirect_group_composite_modulus():
         g3 = (rng.randrange(1215), rng.randrange(9))
         assert gr.mul(sg, gr.mul(sg, g1, g2), g3) == gr.mul(sg, g1, gr.mul(sg, g2, g3))
         assert gr.mul(sg, g1, gr.inv(sg, g1)) == gr.IDENTITY
+
+
+@pytest.mark.parametrize(
+    "x_mod,p,alpha,error,message",
+    [
+        (0, 3, 1, PreconditionViolated, "need x_mod >= 1 and p >= 2"),
+        (1215, 1, 1, PreconditionViolated, "need x_mod >= 1 and p >= 2"),
+        (2**60, 3, 1, Overflow, "below 2\\*\\*63"),
+        (1215, 3, 3, NotInvertible, "alpha = 3 is not a unit mod 1215"),
+        (1215, 3, 2, PreconditionViolated, "alpha = 2 does not have order dividing p\\^2"),
+    ],
+)
+def test_make_semidirect_raises_typed_errors(x_mod, p, alpha, error, message):
+    with pytest.raises(error, match=message):
+        gr.make_semidirect(x_mod, p, alpha)
+    assert gr.make_semidirect(1215, 3, 271 - 1215).alpha == 271  # alpha is reduced
+
+
+def test_make_group_builds_its_base_through_make_semidirect(monkeypatch):
+    seen = []
+    real = gr.make_semidirect
+    monkeypatch.setattr(gr, "make_semidirect", lambda *args: seen.append(args) or real(*args))
+    gp = gr.make_group(3, 5, 10)
+    assert seen == [(243, 3, 28)]
+    assert (gp.x_mod, gp.y_mod, gp.alpha, gp.tau) == (243, 9, 28, 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hsp_sdp import group as gr
+from hsp_sdp import numtheory as nt
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import AbelianGroup, InvalidDescriptor, TooLarge
 
@@ -440,3 +441,55 @@ def test_subgroup_table_membership():
     elems = t.elements()
     for g in itertools.product(range(243), range(9)):
         assert t.contains(g) == (g in elems)
+
+
+# ---------------------------------------------------------------- pinned group law
+
+# sha256 over the reprs of SubgroupTable.from_generators on a seeded batch of
+# generating sets, then of gr.power on seeded (g, k) with |k| < |G|, recorded
+# from the closed forms (x-residues by gr.power, powers by a geometric sum)
+# that the pivot walk and square-and-multiply replaced
+NORMAL_FORM_DIGESTS = {
+    (3, 5, 0): "ac7c3c5075f4b6f2ea8b49b37f8b6465a9b073162a6980d8ec64664afe3d139e",
+    (3, 5, 1): "a19bc57ee990d76671c28df1451b0ae3708e9bebf0b5951e9744c7d2d7c3c4c2",
+    (3, 5, 3): "d593db8c1ba63aa34df9c613c1c7b399b930ad65d0735d2a5dce566d764dc7af",
+    (5, 6, 1): "8c0fad3af13bebf3bb6d298cb73ec6b3f415784fda3b5a809023c1a765a48e37",
+    (7, 5, 1): "759bcc99571b662ec4058c26db203ee4a4c101b7a83cc8efacd3ecf515d9a94d",
+    (3, 3, 1): "df513143689c4c06fe772db89729241d986ff4de3e4c8386a25977e1b0aacdea",
+    (5, 4, 1): "42772244fbb30a90ce7cf7e086489daad9dc13b2f0d171536f86e3c1b3ea0242",
+    (1215, 271): "ee3a5f15f756124df69a355b821d75bda900e458ad0a7edea36af12896970877",
+    (1215, 811): "1c08defeac13b295a6caf9735a6c4227f54a8ef48d17ca78d39879c07259f179",
+}
+
+
+def _pinned_group(key):
+    """(p, r, tau) names a prime-power group, (N, alpha) a parent over Z_9."""
+    if len(key) == 3:
+        return gr.make_group(*key, allow_unclassified=True)
+    return gr.make_semidirect(key[0], 3, key[1])
+
+
+@pytest.mark.parametrize("key", list(NORMAL_FORM_DIGESTS))
+def test_normal_form_and_powers_keep_their_digests(key):
+    gp = _pinned_group(key)
+    p, x_mod, y_mod = gp.p, gp.x_mod, gp.y_mod
+    depth = nt.p_valuation(x_mod, p)[0]
+    rng = random.Random(repr(key))
+    lines = []
+    for _ in range(300):
+        # x values scaled by random powers of p reach the deep subgroups, and
+        # y values scaled by p or p^2 reach the pivots off the generating row
+        gens = [
+            (rng.randrange(x_mod) * p ** rng.randrange(depth + 1) % x_mod,
+             rng.randrange(y_mod) * rng.choice((1, p, p * p)) % y_mod)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), gr.IDENTITY)
+        lines.append(repr(sg.SubgroupTable.from_generators(gp, gens)))
+    for _ in range(300):
+        g = (rng.randrange(x_mod), rng.randrange(y_mod))
+        k = rng.randrange(1 - gp.order, gp.order)
+        lines.append(repr(gr.power(gp, g, k)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NORMAL_FORM_DIGESTS[key]
