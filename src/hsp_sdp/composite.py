@@ -5,6 +5,9 @@ and untouched by the twist, the group is a direct product of the p-part
 semidirect factor and cyclic abelian factors. A subgroup of a direct
 product of coprime-order factors always splits along the factors, so the
 hidden subgroup is recovered one factor at a time and recombined by CRT.
+
+Valid twists: 1 + tau * p^(r-2) on the p-part, 1 on each q-part (p^2 per N).
+The order guard runs before N is factorized by (slow) trial division.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from . import numtheory as nt
 from . import oracle as orc
 from . import solver
 from . import subgroup as sg
-from .errors import (
-    InvalidPrime,
-    NotInvertible,
-    PreconditionViolated,
-    RTooSmall,
-    VerificationFailed,
-)
+from .errors import InvalidPrime, PreconditionViolated, RTooSmall, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -60,62 +57,45 @@ def _crt_unit(N: int, q: int) -> int:
 def make_composite(N: int, p: int, alpha: int) -> CompositeParams:
     """Validate a composite instance N = p^r * (coprime part), r > 4.
 
-    Requires p odd prime, p not dividing q - 1 for any other prime q of N
-    (so every unit of order dividing p^2 is trivial on the coprime part),
-    and alpha a unit mod N of order dividing p^2.
+    Requires p odd prime; `gr.make_semidirect` then makes the order guard
+    and the twist checks, and only then is N factorized, to require p not
+    dividing q - 1 for any other prime q of N (so alpha is 1 off the p-part).
     """
     if not nt.is_prime(p) or p == 2:
         raise InvalidPrime(f"p = {p} must be an odd prime")
-    factors = nt.factorize(N)
-    r1 = factors.get(p, 0)
+    r1, _ = nt.p_valuation(N, p)
     if r1 <= 4:
         raise RTooSmall(f"the p-part of N must be p^r with r > 4, got r = {r1}")
+    alpha = gr.make_semidirect(N, p, alpha).alpha
+    factors = nt.factorize(N)
     for q in factors:
         if q != p and (q - 1) % p == 0:
             raise PreconditionViolated(
                 f"p = {p} divides {q} - 1, so a twist could reach the {q}-part"
             )
-    alpha %= N
-    if math.gcd(alpha, N) != 1:
-        raise NotInvertible(f"alpha = {alpha} is not a unit mod {N}")
-    if pow(alpha, p * p, N) != 1:
-        raise PreconditionViolated(
-            f"alpha = {alpha} does not have order dividing p^2 mod {N}"
-        )
     return CompositeParams(
         N=N, p=p, alpha=alpha, factorization=tuple(sorted(factors.items()))
     )
 
 
 def decompose(cp: CompositeParams) -> FactorDecomposition:
-    """Split the parent group into its p-part and abelian CRT slots."""
+    """Split the parent group into its p-part and abelian CRT slots.
+
+    Nothing is left to check: a unit mod p^r of order dividing p^2 is
+    1 + tau * p^(r-2), the twist of make_group(p, r, tau); the units mod q^e
+    have order q^(e-1) * (q - 1), prime to p, so alpha is 1 on each q-part.
+    """
     r1 = dict(cp.factorization)[cp.p]
     pr = cp.p ** r1
-    alpha1 = cp.alpha % pr
-    step = cp.p ** (r1 - 2)
-    if (alpha1 - 1) % step != 0:
-        raise PreconditionViolated("twist on the p-part has an unsupported shape")
-    tau = (alpha1 - 1) // step % (cp.p * cp.p)
-    semidirect = gr.make_group(cp.p, r1, tau)
-    if semidirect.alpha != alpha1:
-        raise PreconditionViolated("twist on the p-part has an unsupported shape")
-    abelian = []
-    for q, e in cp.factorization:
-        if q == cp.p:
-            continue
-        qe = q ** e
-        if cp.alpha % qe != 1:
-            raise PreconditionViolated(
-                f"alpha is not 1 mod {qe}; the {q}-part would be twisted"
-            )
-        abelian.append(
-            AbelianFactor(prime=q, exponent=e, modulus=qe, crt_unit=_crt_unit(cp.N, qe))
-        )
     return FactorDecomposition(
         parent=gr.make_semidirect(cp.N, cp.p, cp.alpha),
-        semidirect=semidirect,
+        semidirect=gr.make_group(cp.p, r1, (cp.alpha % pr - 1) // cp.p ** (r1 - 2)),
         p_crt_unit=_crt_unit(cp.N, pr),
-        abelian=tuple(abelian),
+        abelian=tuple(
+            AbelianFactor(prime=q, exponent=e, modulus=q**e, crt_unit=_crt_unit(cp.N, q**e))
+            for q, e in cp.factorization
+            if q != cp.p
+        ),
     )
 
 

@@ -219,6 +219,10 @@ def test_bad_descriptor_form_or_fields_exit_2(capsys, blob, message):
          "--r and --tau are required unless --N is given"),
         (["--p", "3", "--r", "5", "--generators", "[[3,0]]"],
          "--r and --tau are required unless --N is given"),
+        (["--N", "0", "--p", "3", "--alpha", "271", "--generators", "[[3,0]]"],
+         "need x_mod >= 1"),
+        (["--N", "-1215", "--p", "3", "--alpha", "271", "--generators", "[[3,0]]"],
+         "need x_mod >= 1"),
     ],
 )
 def test_solve_input_checks_exit_2(capsys, argv, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
     InvalidPrime,
     NotInvertible,
+    Overflow,
     PreconditionViolated,
     RTooSmall,
     VerificationFailed,
@@ -71,6 +73,30 @@ def test_make_composite_validation_errors():
     # so the twist could leak into the 7-part: rejected up front.
     with pytest.raises(PreconditionViolated):
         cx.make_composite(3 ** 5 * 7, 3, 163)
+    # The 2^63 order guard runs before N is factorized, whose trial division
+    # would take minutes here; factorize fails on any call to prove it.
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called before the order guard")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.nt, "factorize", no_factorize)
+        with pytest.raises(Overflow):
+            cx.make_composite(243 * (2**61 - 1), 3, 1)
+
+
+@pytest.mark.parametrize(
+    "n,p", [(1215, 3), (13365, 3), (18225, 3), (10935, 3), (9375, 5), (21875, 5)]
+)
+def test_every_valid_twist_splits_without_further_checks(n, p):
+    # decompose checks nothing: each unit of order dividing p^2 is the p-part
+    # group's twist mod p^r and is 1 on every coprime slot.
+    twists = [a for a in range(n) if math.gcd(a, n) == 1 and pow(a, p * p, n) == 1]
+    assert len(twists) == p * p
+    for alpha in twists:
+        dec = cx.decompose(cx.make_composite(n, p, alpha))
+        assert dec.semidirect.alpha == alpha % p ** dec.semidirect.r
+        assert dec.abelian
+        assert all(alpha % fac.modulus == 1 for fac in dec.abelian)
 
 
 def test_parent_group_is_isomorphic_to_factor_product():
