@@ -7,7 +7,8 @@ Subcommands:
   verify-catalog  cross-check the catalog and its normality claims by brute force
 
 Exit codes: 0 success, 1 runtime failure (retries exhausted or verification
-failed), 2 configuration or usage error. HSP_SDP_THREADS caps sweep workers.
+failed), 2 configuration or usage error. HSP_SDP_THREADS sets the number of
+sweep workers; unset or 0 means os.cpu_count().
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import subgroup as sg
 from .errors import (
     AbelianGroup,
     HspError,
+    PreconditionViolated,
     RetriesExhausted,
     VerificationFailed,
 )
@@ -143,6 +145,16 @@ def _sweep_worker(task):
 def _cmd_sweep(args) -> int:
     if args.trials < 1:
         return _fail("--trials must be at least 1")
+    threads = os.environ.get("HSP_SDP_THREADS") or "0"
+    try:
+        jobs = int(threads)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        raise PreconditionViolated(
+            f"HSP_SDP_THREADS must be a non-negative integer, got {threads!r}"
+        )
+    jobs = jobs or os.cpu_count() or 1
     gp = gr.make_group(args.p, args.r, args.tau)
     catalog = sg.enumerate_catalog(gp)
     tasks = [
@@ -150,9 +162,6 @@ def _cmd_sweep(args) -> int:
          args.trials, args.seed, idx)
         for idx, d in enumerate(catalog)
     ]
-    jobs = int(os.environ.get("HSP_SDP_THREADS", "0") or 0)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
     if jobs == 1:
         results = [_sweep_worker(t) for t in tasks]
     else:

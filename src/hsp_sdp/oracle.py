@@ -2,8 +2,9 @@
 
 An oracle holds a sealed hidden subgroup H and answers queries with opaque
 labels satisfying f(g1) == f(g2) iff g1^-1 g2 in H (left cosets). The label
-for g is the lexicographically least element of g*H in a-major order, packed
-as a*p^2 + b; solvers must treat labels as equality-only tokens.
+for g is the least element of g*H in b-major order (least y-value first, then
+least x-value), packed as a*p^2 + b and read from one row of the hidden table
+in O(1); solvers must treat labels as equality-only tokens.
 
 Accounting: every oracle owns one Meter, and every cost a report gives is a
 difference of two readings of it. query() and charge_superposition_query()
@@ -77,9 +78,10 @@ class Meter:
 class HidingOracle:
     """f hiding a subgroup of gp, evaluated via the transversal normal form.
 
-    For g = (a, b) the coset g*H meets the y-slice b+rb at x-values
-    a + alpha^b * (a_rb + d*u), i.e. a full residue class mod d, so the
-    lex-least coset element is computed in O(|y-projection of H|).
+    For g = (a, b) the y-values of g*H are b + s*Z, s the table's y-step, so
+    exactly one row meets the least y-value r0 = b mod s: row -(b // s) mod
+    len(reps). Its x-values form the residue class a + alpha^b * a_row mod d,
+    so the b-major least element of g*H is read in O(1).
     """
 
     def __init__(self, group: gr.SemidirectGroup, hidden_table: sg.SubgroupTable):
@@ -89,47 +91,27 @@ class HidingOracle:
         # sealed: only the label functions and _sim_table read the hidden table
         self._reps = hidden_table.reps
         self._d = hidden_table.x_step
+        self._s = hidden_table.y_step
 
     def _label(self, g: gr.Element) -> Label:
         a, b = g
-        apb = self._apow[b]
-        d = self._d
-        y_mod = self.group.y_mod
-        best_a = best_b = None
-        for rb, ra in self._reps:
-            ca = (a + apb * ra) % d
-            cb = (b + rb) % y_mod
-            if best_a is None or ca < best_a or (ca == best_a and cb < best_b):
-                best_a, best_b = ca, cb
-        return Label(best_a * y_mod + best_b)
+        k, r0 = divmod(b, self._s)
+        return Label((a + self._apow[b] * self._reps[-k][1]) % self._d * self.group.y_mod + r0)
 
     def _label_array(self, a, b):
-        """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed.
-
-        Per rep (rb, ra) the candidate is ca * y_mod + cb with
-        ca = (a + alpha^b * ra) % d and cb = (b + rb) % y_mod; the least
-        candidate is the lex-least (ca, cb) because cb < y_mod. All but a % d
-        depends on b alone, so it comes from a y_mod-entry table per rep, and
-        the sum passes d * y_mod at most once. Every intermediate stays below
-        x_mod^2 < 2^48 under ORACLE_GUARD, so int64 arithmetic is exact; larger
-        groups raise TooLarge.
+        """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed:
+        the same one-row formula with the row read per element. alpha^b * a_row
+        stays below x_mod * d <= x_mod^2 < 2^48 under ORACLE_GUARD, so int64
+        arithmetic is exact; larger groups raise TooLarge.
         """
         if self.group.order > ORACLE_GUARD:
             raise TooLarge(f"group order {self.group.order} exceeds the 2^24 array guard")
         import numpy as np  # only the reference scan labels arrays
 
-        y_mod, d = self.group.y_mod, self._d
-        wrap = d * y_mod
-        a_part = a % d * y_mod
-        ys = np.arange(y_mod)
-        apow = np.array(self._apow, dtype=np.int64)
-        best = None
-        for rb, ra in self._reps:
-            table = apow * ra % d * y_mod + (ys + rb) % y_mod
-            packed = a_part + table[b]
-            packed -= wrap * (packed >= wrap)
-            best = packed if best is None else np.minimum(best, packed, out=best)
-        return best
+        k, r0 = np.divmod(b, self._s)
+        a_row = np.array([ra for _, ra in self._reps], dtype=np.int64)[-k]
+        apow = np.array(self._apow, dtype=np.int64)[b]
+        return (a + apow * a_row) % self._d * self.group.y_mod + r0
 
     def query(self, g: gr.Element) -> Label:
         self.meter.queries += 1

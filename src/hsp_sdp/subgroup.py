@@ -180,12 +180,14 @@ class SubgroupTable:
     def order(self) -> int:
         return len(self.reps) * (self.x_mod // self.x_step)
 
+    @property
+    def y_step(self) -> int:
+        """Row k of reps has b = k*s."""
+        return self.y_mod // len(self.reps)
+
     def contains(self, g: gr.Element) -> bool:
-        a, b = g
-        for rb, ra in self.reps:
-            if rb == b:
-                return a % self.x_step == ra
-        return False
+        k, r0 = divmod(g[1], self.y_step)
+        return r0 == 0 and g[0] % self.x_step == self.reps[k][1]
 
     def elements(self) -> frozenset:
         d, x_mod = self.x_step, self.x_mod

@@ -322,6 +322,15 @@ def test_sweep_rejects_non_positive_trials_exit_2(capsys):
         assert "--trials" in err
 
 
+@pytest.mark.parametrize("threads", ["two", "-1"])
+def test_sweep_rejects_bad_thread_count_exit_2(capsys, monkeypatch, threads):
+    monkeypatch.setenv("HSP_SDP_THREADS", threads)
+    argv = ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "HSP_SDP_THREADS" in err
+
+
 # ------------------------------------------------------------ verify-catalog
 
 def test_verify_catalog_passes_for_reference_groups(capsys):

@@ -14,9 +14,10 @@ G353 = gr.make_group(3, 5, 3)
 
 
 def literal_coset_min_label(gp, hidden_elems, g):
-    """Reference implementation: materialize g*H and take the lex-least element."""
+    """Reference implementation: materialize g*H and take its least element in
+    b-major order (least y-value first, then least x-value)."""
     coset = [gr.mul(gp, g, h) for h in hidden_elems]
-    a, b = min(coset)
+    a, b = min(coset, key=lambda e: (e[1], e[0]))
     return a * gp.y_mod + b
 
 
@@ -58,6 +59,50 @@ def test_array_labels_match_scalar_labels_on_catalog(tau):
         assert o._sim_eval_array(a, b).tolist() == want, descr
         assert o.meter.sim_evals == len(elems)
         assert o.meter.queries == 0
+
+
+@pytest.mark.parametrize("tau", [0, 1, 3])
+def test_array_labels_hide_every_catalog_subgroup(tau):
+    """Exact hiding, whatever the label's definition: labels over all of G do
+    not move under right multiplication by each generator of H, and there are
+    exactly |G|/|H| of them."""
+    gp = gr.make_group(3, 5, tau)
+    elems = list(itertools.product(range(gp.x_mod), range(gp.y_mod)))
+    a = np.array([g[0] for g in elems], dtype=np.int64)
+    b = np.array([g[1] for g in elems], dtype=np.int64)
+    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
+    for descr in sg.enumerate_catalog(gp):
+        labels = orc.make_oracle(gp, descr)._sim_eval_array(a, b)
+        for ha, hb in sg.generators(gp, descr):
+            moved = (a + apow[b] * ha) % gp.x_mod * gp.y_mod + (b + hb) % gp.y_mod
+            assert (labels[moved] == labels).all(), (descr, (ha, hb))
+        assert len(set(labels.tolist())) == gp.order // sg.subgroup_order(gp, descr), descr
+
+
+@pytest.mark.parametrize("p", [47, 101])
+def test_scalar_labels_hide_at_large_p(p):
+    """Up to p^2 hidden-table rows: f(g) == f(g*h) for h a random product of
+    generator powers, and f(g) == f(g2) exactly when g^-1 g2 lies in H."""
+    gp = gr.make_group(p, 5, 1)
+    rng = random.Random(p)
+    catalog = sg.enumerate_catalog(gp)
+    picks = [sg.sg1m(2, 0, 0), sg.sg3(1, 2), sg.sg2(3, 1)] + rng.sample(catalog, 5)
+    for descr in picks:
+        o = orc.make_oracle(gp, descr)
+        table = sg.table_for(gp, descr)
+        gens = sg.generators(gp, descr)
+        for _ in range(40):
+            g = (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod))
+            h = gr.IDENTITY
+            for gen in rng.choices(gens, k=3):
+                h = gr.mul(gp, h, gr.power(gp, gen, rng.randrange(gp.order)))
+            gh = gr.mul(gp, g, h)
+            assert o.query(g) == o.query(gh), (descr, g, h)
+            nudged = gr.mul(gp, gh, (rng.randrange(3), rng.randrange(3)))
+            anywhere = (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod))
+            for g2 in (gh, nudged, anywhere):
+                want = table.contains(gr.mul(gp, gr.inv(gp, g), g2))
+                assert (o.query(g) == o.query(g2)) == want, (descr, g, g2)
 
 
 def test_hiding_property_random_pairs():
