@@ -37,11 +37,6 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 # ------------------------------------------------------------------ enumerate
 
 def _cmd_enumerate(args) -> int:
@@ -77,17 +72,19 @@ def _parse_generators(text: str, x_mod: int, y_mod: int) -> list[gr.Element]:
 def _cmd_solve(args) -> int:
     specs = [s for s in (args.subgroup, args.generators) if s is not None]
     if len(specs) != 1:
-        return _fail("provide exactly one of --subgroup or --generators")
+        raise PreconditionViolated("provide exactly one of --subgroup or --generators")
 
     if args.N is not None:
         if args.r is not None or args.tau is not None:
-            return _fail("--r/--tau do not apply in composite mode; use --N/--alpha")
+            raise PreconditionViolated("--r/--tau do not apply in composite mode; use --N/--alpha")
         if args.alpha is None:
-            return _fail("composite mode requires --alpha")
+            raise PreconditionViolated("composite mode requires --alpha")
         if args.subgroup is not None:
-            return _fail("descriptors index the prime-power catalog; composite mode takes --generators")
+            raise PreconditionViolated(
+                "descriptors index the prime-power catalog; composite mode takes --generators"
+            )
         if args.strategy != "auto":
-            return _fail("composite mode chooses its own per-factor strategies")
+            raise PreconditionViolated("composite mode chooses its own per-factor strategies")
         cp = cx.make_composite(args.N, args.p, args.alpha)
         dec = cx.decompose(cp)
         gens = _parse_generators(args.generators, dec.parent.x_mod, dec.parent.y_mod)
@@ -97,7 +94,7 @@ def _cmd_solve(args) -> int:
         return 0
 
     if args.r is None or args.tau is None:
-        return _fail("--r and --tau are required unless --N is given")
+        raise PreconditionViolated("--r and --tau are required unless --N is given")
     gp = gr.make_group(args.p, args.r, args.tau)
     if args.subgroup is not None:
         d = sg.descriptor_from_json(json.loads(args.subgroup))
@@ -144,7 +141,7 @@ def _sweep_worker(task):
 
 def _cmd_sweep(args) -> int:
     if args.trials < 1:
-        return _fail("--trials must be at least 1")
+        raise PreconditionViolated("--trials must be at least 1")
     threads = os.environ.get("HSP_SDP_THREADS") or "0"
     try:
         jobs = int(threads)

@@ -18,13 +18,14 @@ sort-key order, and builds no tables.
 Internally every subgroup is reduced to a transversal normal form
 (SubgroupTable): the x-axis intersection step d and, for each value b of the
 y-projection, the unique representative x-offset in [0, d). Two subgroups are
-equal iff their tables are equal, which keeps canonicalization and membership
-exact without materializing element sets. canonicalize reads the catalog
-descriptor off the table. With d = p^k and pivot row (b, a) = reps[1], where
-b = p^j generates the y-projection and a = u*p^i for a unit u:
+equal iff their tables are equal. _head reads the table's head (d, s, a_1)
+off the generators in O(#gens * log p^2) group operations: d = p^k, the
+y-step s = p^j (y_mod if the y-projection is trivial), and row 1 is
+(s, a_1) with a_1 = u*p^i for a unit u. canonicalize reads the catalog
+descriptor off the head and builds no table:
 
-    reps == ((0, 0),)            sg1x(k)
-    a == 0                       sg2(k, j) if k < r, else sg1m(1, r, j)
+    s == y_mod                   sg1x(k)
+    a_1 == 0                     sg2(k, j) if k < r, else sg1m(1, r, j)
     j == 0 and i + 1 == k < r    sg3(u mod p, i)
     otherwise                    sg1m(u mod p^(k-i), i, j)
 """
@@ -152,29 +153,13 @@ class SubgroupTable:
 
     @classmethod
     def from_generators(cls, gp: gr.SemidirectGroup, gens) -> "SubgroupTable":
-        """One walk of the pivot's powers, until y returns to 0, gives every
-        row and the wrap. Mixed g with y-value k*b_pivot gives the residue
-        pivot^-k * g = ((a_g - a_k) * alpha^-b_g, 0), same gcd as a_g - a_k."""
-        x_mod, y_mod = gp.x_mod, gp.y_mod
-        x_parts = [a for a, b in gens if b == 0]  # the identity adds nothing
-        mixed = [g for g in gens if g[1] != 0]
-        if not mixed:
-            return cls(x_mod, y_mod, reduce(math.gcd, x_parts, x_mod), ((0, 0),))
-        pivot = min(mixed, key=lambda g: (g[1] % gp.p == 0, g))  # b of least p-valuation
-        a_p, b_p = pivot
-        apow = gr._alpha_pows(gp)
-        xs, (a, b) = [0], pivot
-        while b:  # up to the wrap (a, 0)
-            xs.append(a)
-            a, b = (a + a_p * apow[b]) % x_mod, (b + b_p) % y_mod
-        x_parts.append(a)
-        span = len(xs)
-        step = y_mod // span  # p^(valuation of b_pivot), which divides every b_g
-        unit = nt.mod_inv(b_p // step, span)
-        x_parts.extend(a_g - xs[b_g // step * unit % span] for a_g, b_g in mixed)
-        d = reduce(math.gcd, x_parts, x_mod)
-        reps = sorted((k * b_p % y_mod, a_k % d) for k, a_k in enumerate(xs))
-        return cls(x_mod, y_mod, d, tuple(reps))
+        """_head, then row k+1 = row k + alpha^(k*s) * a_1 mod d in b order."""
+        d, s, a_1 = _head(gp, gens)
+        apow, reps, a = gr._alpha_pows(gp), [], 0
+        for b in range(0, gp.y_mod, s):
+            reps.append((b, a))
+            a = (a + apow[b] * a_1) % d
+        return cls(gp.x_mod, gp.y_mod, d, tuple(reps))
 
     @property
     def order(self) -> int:
@@ -228,6 +213,25 @@ class SubgroupTable:
         return v
 
 
+def _head(gp: gr.SemidirectGroup, gens) -> tuple[int, int, int]:
+    """(d, s, a_1) of H = <gens>. For a mixed pivot of least p-valuation in b,
+    s = gcd(b_pivot, y_mod), n = y_mod/s and h = pivot^((b_pivot/s)^-1 mod n)
+    = (a_1, s). H's x-axis part is generated by the pure-x generators, the
+    wrap pivot^n (h^n and the pivot's residue are powers of it) and the
+    residues h^-(b_g/s) * g of the other mixed generators."""
+    x_parts = [a for a, b in gens if b == 0]  # the identity adds nothing
+    mixed = [g for g in gens if g[1] != 0]
+    if not mixed:
+        return reduce(math.gcd, x_parts, gp.x_mod), gp.y_mod, 0
+    pivot = min(mixed, key=lambda g: (g[1] % gp.p == 0, g))  # b of least p-valuation
+    s = math.gcd(pivot[1], gp.y_mod)
+    h = gr.power(gp, pivot, nt.mod_inv(pivot[1] // s, gp.y_mod // s))
+    x_parts.append(gr.power(gp, pivot, gp.y_mod // s)[0])
+    x_parts += [gr.mul(gp, gr.power(gp, h, -(g[1] // s)), g)[0] for g in mixed if g != pivot]
+    d = reduce(math.gcd, x_parts, gp.x_mod)
+    return d, s, h[0] % d
+
+
 @lru_cache(maxsize=None)
 def table_for(gp: gr.GroupParams, d: Descriptor) -> SubgroupTable:
     return SubgroupTable.from_generators(gp, generators(gp, d))
@@ -264,15 +268,14 @@ def enumerate_catalog(gp: gr.GroupParams) -> list[Descriptor]:
 def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:
     """Map any generating set to its catalog descriptor (module docstring)."""
     p, r = gp.p, gp.r
-    table = SubgroupTable.from_generators(gp, gens)
-    k = table.x_intersection_val(p)
-    if table.reps == ((0, 0),):
+    d, s, a_1 = _head(gp, gens)
+    k = nt.p_valuation(d, p)[0]
+    if s == gp.y_mod:
         return sg1x(k)
-    b, a = table.reps[1]
-    j = nt.p_valuation(b, p)[0]
-    if a == 0:
+    j = nt.p_valuation(s, p)[0]
+    if a_1 == 0:
         return sg2(k, j) if k < r else sg1m(1, r, j)
-    i, u = nt.p_valuation(a, p)
+    i, u = nt.p_valuation(a_1, p)
     if j == 0 and i + 1 == k < r:
         return sg3(u % p, i)
     return sg1m(u % p ** (k - i), i, j)

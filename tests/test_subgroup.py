@@ -191,6 +191,50 @@ def test_canonicalize_round_trip_catalog():
             assert sg.canonicalize(gp, sg.generators(gp, d)) == d, (gp, table)
 
 
+def _seeded_generating_sets(gp, rng, count):
+    """Generating sets with x values scaled by random powers of p, y values
+    scaled by 1, p or p^2, and the identity sometimes mixed in."""
+    depth = nt.p_valuation(gp.x_mod, gp.p)[0]
+    out = []
+    for _ in range(count):
+        gens = [
+            (rng.randrange(gp.x_mod) * gp.p ** rng.randrange(depth + 1) % gp.x_mod,
+             rng.randrange(gp.y_mod) * rng.choice((1, gp.p, gp.p**2)) % gp.y_mod)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), gr.IDENTITY)
+        out.append(gens)
+    return out
+
+
+def test_canonicalize_builds_no_table(monkeypatch):
+    catalog = sg.enumerate_catalog(G351)
+    batch = _seeded_generating_sets(G351, random.Random(17), 200)
+    index = table_index(G351)
+    expected = [index[sg.SubgroupTable.from_generators(G351, gens)] for gens in batch]
+
+    def no_table(*args):
+        raise AssertionError("canonicalize built a table")
+
+    monkeypatch.setattr(sg.SubgroupTable, "from_generators", no_table)
+    monkeypatch.setattr(sg, "table_for", no_table)
+    for d in catalog:
+        assert sg.canonicalize(G351, sg.generators(G351, d)) == d
+    for gens, d in zip(batch, expected):
+        assert sg.canonicalize(G351, gens) == d, gens
+
+
+@pytest.mark.parametrize("p", [101, 211])
+def test_canonicalize_names_the_same_table_at_large_p(p):
+    # no catalog is enumerated, and from_generators keeps table_for's cache small
+    gp = gr.make_group(p, 5, 1)
+    for gens in _seeded_generating_sets(gp, random.Random(p), 12):
+        d = sg.canonicalize(gp, gens)
+        got = sg.SubgroupTable.from_generators(gp, sg.generators(gp, d))
+        assert got == sg.SubgroupTable.from_generators(gp, gens), gens
+
+
 def test_canonicalize_random_generating_sets():
     rng = random.Random(7)
     for gp in (G351, G353):
@@ -437,10 +481,13 @@ def test_subgroup_table_is_complete_invariant():
 
 
 def test_subgroup_table_membership():
-    t = sg.SubgroupTable.from_generators(G351, [(2, 1), (3, 0)])
-    elems = t.elements()
-    for g in itertools.product(range(243), range(9)):
-        assert t.contains(g) == (g in elems)
+    # y-step 3 reaches the rows that a y-value off the step must not index
+    for gens, y_step in [([(2, 1), (3, 0)], 1), ([(2, 3), (9, 0)], 3)]:
+        t = sg.SubgroupTable.from_generators(G351, gens)
+        assert t.y_step == y_step
+        elems = t.elements()
+        for g in itertools.product(range(243), range(9)):
+            assert t.contains(g) == (g in elems), (gens, g)
 
 
 # ---------------------------------------------------------------- pinned group law
