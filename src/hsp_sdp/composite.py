@@ -5,6 +5,8 @@ and untouched by the twist, the group is a direct product of the p-part
 semidirect factor and cyclic abelian factors. A subgroup of a direct
 product of coprime-order factors always splits along the factors, so the
 hidden subgroup is recovered one factor at a time and recombined by CRT.
+The p-part is solved on a FactorOracle, whose head is the parent's (d, s, a_1)
+reduced to (d_p, s, a_1 mod d_p), d_p = gcd(d, p^r).
 
 Valid twists: 1 + tau * p^(r-2) on the p-part, 1 on each q-part (p^2 per N).
 The order guard runs before N is factorized by (slow) trial division.
@@ -105,7 +107,7 @@ class FactorOracle(orc.HidingOracle):
     Embeds factor elements into the parent through the CRT unit (a group
     homomorphism, because the unit is 0 mod every other slot) and charges
     every query and simulation evaluation to the parent's meter, which it
-    shares. Its labels and its hidden table come from the parent's, so it
+    shares. Its labels and its hidden head come from the parent's, so it
     skips HidingOracle.__init__, which builds them from the hidden subgroup.
     """
 
@@ -122,13 +124,11 @@ class FactorOracle(orc.HidingOracle):
         return self._parent._label_array(a * self._unit % self._parent.group.x_mod, b)
 
     def _sim_table(self):
-        """The table of the p-part of the parent's H: its step is the p-part
-        d_p of the parent step, and its offsets are the parent's mod d_p (H
-        splits along the coprime factors, so every parent offset is 0 in the
-        other slots and (a * unit, b) lies in row (b, a_b) iff a == a_b mod d_p)."""
-        d, reps = self._parent._sim_table()
+        """The p-part head of the module docstring: H splits along the coprime
+        factors, so (a * unit, b) lies in row (b, a_b) iff a == a_b mod d_p."""
+        d, s, a_1 = self._parent._sim_table()
         d_p = math.gcd(d, self.group.x_mod)
-        return d_p, tuple((b, a % d_p) for b, a in reps)
+        return d_p, s, a_1 % d_p
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
         raise VerificationFailed(
             f"combined generator {outside} is not in the hidden subgroup"
         )
-    table = sg.SubgroupTable.from_generators(dec.parent, lifted)
+    d, s, _ = sg._head(dec.parent, lifted)
     spent = o.meter - before
 
     return CompositeSolveResult(
@@ -204,7 +204,7 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
         semidirect_report=rep,
         abelian_valuations=tuple(vals),
         generators=tuple(lifted),
-        subgroup_order=table.order,
+        subgroup_order=dec.parent.order // (d * s),
         oracle_queries=spent.queries,
         simulation_cost=spent.sim_evals,
         iterations=spent.iterations,

@@ -3,14 +3,15 @@
 An oracle holds a sealed hidden subgroup H and answers queries with opaque
 labels satisfying f(g1) == f(g2) iff g1^-1 g2 in H (left cosets). The label
 for g is the least element of g*H in b-major order (least y-value first, then
-least x-value), packed as a*p^2 + b and read from one row of the hidden table
-in O(1); solvers must treat labels as equality-only tokens.
+least x-value), packed as a*p^2 + b. From H's head (d, s, a_1) it is
+(a - alpha^r0 * a_k mod d, r0) for g = (a, b), (k, r0) = divmod(b, s) and a_k
+the x-offset of row k, so O(1); solvers must treat labels as equality-only tokens.
 
 Accounting: every oracle owns one Meter, and every cost a report gives is a
 difference of two readings of it. query() and charge_superposition_query()
 count one query each. Simulator-side work, never visible to the algorithm
 being costed, counts as simulation evaluations instead: _sim_table() one per
-row of the hidden table it hands to qsim, _sim_eval() one per label, and
+row of H for the head it hands to qsim, _sim_eval() one per label, and
 _sim_eval_array() one per element it labels. Membership checks go through
 first_outside(gens): one query for the identity, then one per element until
 the first one outside H. Las Vegas loops call meter.attempt(k) once per
@@ -76,31 +77,26 @@ class Meter:
 
 
 class HidingOracle:
-    """f hiding a subgroup of gp, evaluated via the transversal normal form.
+    """f hiding a subgroup H of gp, evaluated from H's head (d, s, a_1): the
+    y-values of g*H are b + s*Z, and g*H meets the least, r0, in the coset
+    g*h^-k*<x^d>, h = (a_1, s), whose x-values are a - alpha^r0 * a_k mod d."""
 
-    For g = (a, b) the y-values of g*H are b + s*Z, s the table's y-step, so
-    exactly one row meets the least y-value r0 = b mod s: row -(b // s) mod
-    len(reps). Its x-values form the residue class a + alpha^b * a_row mod d,
-    so the b-major least element of g*H is read in O(1).
-    """
-
-    def __init__(self, group: gr.SemidirectGroup, hidden_table: sg.SubgroupTable):
+    def __init__(self, group: gr.SemidirectGroup, head: tuple[int, int, int]):
         self.group = group
         self.meter = Meter()
         self._apow = gr._alpha_pows(group)
-        # sealed: only the label functions and _sim_table read the hidden table
-        self._reps = hidden_table.reps
-        self._d = hidden_table.x_step
-        self._s = hidden_table.y_step
+        # sealed: only the label functions and _sim_table read the head
+        self._d, self._s, _ = self._head = head
+        self._row = sg._rows(group, head)
 
     def _label(self, g: gr.Element) -> Label:
         a, b = g
         k, r0 = divmod(b, self._s)
-        return Label((a + self._apow[b] * self._reps[-k][1]) % self._d * self.group.y_mod + r0)
+        return Label((a - self._apow[r0] * self._row(k)) % self._d * self.group.y_mod + r0)
 
     def _label_array(self, a, b):
         """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed:
-        the same one-row formula with the row read per element. alpha^b * a_row
+        the same one-row formula with the row read per element. alpha^r0 * a_k
         stays below x_mod * d <= x_mod^2 < 2^48 under ORACLE_GUARD, so int64
         arithmetic is exact; larger groups raise TooLarge.
         """
@@ -109,9 +105,10 @@ class HidingOracle:
         import numpy as np  # only the reference scan labels arrays
 
         k, r0 = np.divmod(b, self._s)
-        a_row = np.array([ra for _, ra in self._reps], dtype=np.int64)[-k]
-        apow = np.array(self._apow, dtype=np.int64)[b]
-        return (a + apow * a_row) % self._d * self.group.y_mod + r0
+        rows = [self._row(j) for j in range(self.group.y_mod // self._s)]
+        a_k = np.array(rows, dtype=np.int64)[k]
+        apow = np.array(self._apow, dtype=np.int64)[r0]
+        return (a - apow * a_k) % self._d * self.group.y_mod + r0
 
     def query(self, g: gr.Element) -> Label:
         self.meter.queries += 1
@@ -130,11 +127,10 @@ class HidingOracle:
         """One oracle call made in superposition counts as one query."""
         self.meter.queries += 1
 
-    def _sim_table(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(x_step, reps) of the hidden table, for qsim's closed-form level
-        sets; charged as one simulation evaluation per row."""
-        self.meter.sim_evals += len(self._reps)
-        return self._d, self._reps
+    def _sim_table(self) -> tuple[int, int, int]:
+        """H's head (d, s, a_1) for qsim, one simulation evaluation per row of H."""
+        self.meter.sim_evals += self.group.y_mod // self._s
+        return self._head
 
     def _sim_eval(self, g: gr.Element) -> Label:
         self.meter.sim_evals += 1
@@ -146,11 +142,11 @@ class HidingOracle:
 
 
 def make_oracle(gp: gr.GroupParams, descriptor: sg.Descriptor) -> HidingOracle:
-    return HidingOracle(gp, sg.table_for(gp, descriptor))
+    return HidingOracle(gp, sg._head(gp, sg.generators(gp, descriptor)))
 
 
 def make_oracle_from_generators(group: gr.SemidirectGroup, gens) -> HidingOracle:
-    return HidingOracle(group, sg.SubgroupTable.from_generators(group, gens))
+    return HidingOracle(group, sg._head(group, gens))
 
 
 def brute_force_recover(o: HidingOracle) -> sg.SubgroupSet:

@@ -12,21 +12,24 @@ and measure. Classically that is:
 
 Neither needs the labels of the register points. The base point is uniform
 and independent of K, and the outcome law depends only on K. So pullback
-reads K = embed^-1(H) once per recovery routine, in closed form from the
-hidden SubgroupTable (x-step d, one x-offset a_b per y-value b) through the
-oracle's sealed _sim_table accessor: O(|table rows|) <= p^2 work, charged as
-one simulation evaluation per row. Every coset_sample of the routine then
-shifts K by a uniform base. The solver and composite domains have one of
-the shapes
+reads K = embed^-1(H) once per recovery routine, in closed form from H's
+head (d, t, a_1) (subgroup module docstring) through the oracle's sealed
+_sim_table accessor, charged as one simulation evaluation per row of H.
+Every coset_sample of the routine then shifts K by a uniform base. The
+solver and composite domains have one of the shapes
 
     (u,) -> x^(s u)      (v,) -> y^v      (u, v) -> x^(s u) y^v
 
-and (s u, v) lies in H iff row v exists and s u == a_v (mod d). The
-generators follow the reference scan's rule, "the first point of K in C
-order outside the span so far": (0, v0) with v0 the least nonzero v in row
-u = 0 of K, if any, then (u1, v1) with u1 the least positive u of K's
-u-projection (which generates it) and v1 the least v in that row. Any other
-shape raises PreconditionViolated.
+and (s u, v) lies in H iff t divides v and s u == a_(v/t) (mod d), a_k the
+x-offset of row k. When the level sets are cosets (below), K is generated by
+(m0, 0), m0 = gcd(d / gcd(s, d), n), and (u*, v*) for the least p-power
+multiple v* of t whose row has a least solution u* < n: at most two rows.
+The generators follow the reference scan's rule, "the first point of K in C
+order outside the span so far": (0, v0) with v0 = v* m0 / gcd(u*, m0) mod
+n_v the least nonzero v in row u = 0 of K, if any, then (u1, v1) with
+u1 = gcd(u*, m0) the least positive u of K's u-projection (which generates
+it) and v1 = c v* mod n_v the least v in that row, c < m0 / u1 solving
+c u* == u1 (mod m0). Any other shape raises PreconditionViolated.
 
 Level sets are cosets of K when embed(u)^-1 embed(w) lies in H exactly when
 embed(w - u) does. On register dims (n, n_v) the two differ by a left factor
@@ -44,7 +47,7 @@ x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
 
 Two pure functions of frozen values are cached at module level, which is
 exact: the probe's six points per (group, dims, axes) and K's annihilator
-per (dims, K generators). Labels, table reads and their charges are not
+per (dims, K generators). Labels, head reads and their charges are not
 cached, so every call still evaluates, meters and can raise.
 
 reference.level_set_scan labels every point and checks the coset structure
@@ -60,6 +63,7 @@ from operator import mul
 
 from . import group as gr
 from . import numtheory as nt
+from . import subgroup as sg
 from .errors import PreconditionViolated, RetriesExhausted
 
 #: extra character samples beyond log2(|domain|) per recovery attempt
@@ -211,27 +215,28 @@ class CosetSupport:
 
 
 def pullback(o, domain: Domain) -> CosetSupport:
-    """K = embed^-1(H) as the support at base 0, read in closed form from the
-    hidden table: one simulation evaluation per table row, no query."""
+    """K = embed^-1(H) as the support at base 0, read in closed form from
+    H's head: one simulation evaluation per row of H, no query."""
     n, s, n_v, kept = _shape(domain, o.group.y_mod)
-    d, reps = o._sim_table()
+    d, t, _ = head = o._sim_table()
+    row = sg._rows(o.group, head)
     g = math.gcd(s, d)
     step = d // g  # the solutions u of s u == a (mod d) repeat with this period
-    inv = pow(s // g, -1, step) if step > 1 else 0
-    v0 = u1 = v1 = None
-    for b, a in reps:  # sorted by b
-        if b >= n_v:
+    inv = pow(s // g, -1, step)  # 0 when step == 1
+    m0 = math.gcd(step, n)  # K meets the u axis in <m0>
+    u_star = v_star = 0  # K's v-projection is <v_star>, reached at u_star
+    v = t
+    while v < n_v:
+        a = row(v // t)
+        if a % g == 0 and (u := a // g * inv % step) < n:  # u: least solution
+            u_star, v_star = u, v
             break
-        if a % g:
-            continue
-        u = a // g * inv % step  # least u >= 0 with s u == a (mod d)
-        if u == 0:
-            if b and v0 is None:
-                v0 = b
-            u = step
-        if u < n and (u1 is None or u < u1):
-            u1, v1 = u, b
-    gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
+        v *= o.group.p
+    u1 = math.gcd(u_star, m0)
+    v0 = v_star * (m0 // u1) % n_v
+    gens = [(0, v0)] if v0 else []
+    if u1 < n:
+        gens.append((u1, pow(u_star // u1, -1, m0 // u1) * v_star % n_v))
     k_gens = tuple(tuple(pt[i] for i in kept) for pt in gens)
     dims = domain.dims
     return CosetSupport(dims, _zero(dims), k_gens, _annihilator(dims, k_gens))

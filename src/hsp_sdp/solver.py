@@ -260,16 +260,18 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
             else:
                 recovered = solve_class2(o, m, n, rng)
 
-    # Final verification: every generator of the recovered subgroup must sit
-    # in the same coset as the identity, and the recovered table must show
-    # the axis depths find_m_n measured (the abelian case measures none).
+    # Final verification: every generator of the recovered subgroup R must sit
+    # in the same coset as the identity, and R must show the axis depths that
+    # find_m_n measured (none if abelian): d = p^m, y^(p^n) its first y^(p^k).
     outside = o.first_outside(sg.generators(gp, recovered))
     if outside is not None:
         raise VerificationFailed(
             f"recovered generator {outside} is not in the hidden subgroup"
         )
-    table = sg.table_for(gp, recovered)
-    m, n = table.x_intersection_val(gp.p), table.y_intersection_val(gp.p)
+    d, s, _ = head = sg._head(gp, sg.generators(gp, recovered))
+    row = sg._rows(gp, head)
+    m = nt.p_valuation(d, gp.p)[0]
+    n = next(k for k in range(3) if gp.p**k % s == 0 and row(gp.p**k // s) == 0)
     if measured is not None and (m, n) != measured:
         raise VerificationFailed(
             "recovered subgroup disagrees with the measured axis depths"

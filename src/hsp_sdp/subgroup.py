@@ -9,11 +9,10 @@ Four descriptor forms cover every subgroup of Z_{p^r} x| Z_{p^2}:
     sg3(t, i)      <x^(t*p^i) y, x^(p^(i+1))>      0 <= i < r, t unit mod p
 
 with a unit mod q taken in [1, q). This table is the one spec of the
-descriptor space: _descriptor_space enumerates it, and validate_descriptor
-checks one descriptor against its ranges without enumerating. It names each
-subgroup once, except that the p - 1 cyclic sg3(t, r-1) equal
-sg1m(t, r-1, 0); the catalog is the space without those aliases, in
-sort-key order, and builds no tables.
+descriptors: validate_descriptor checks one against its ranges without
+enumerating. It names each subgroup once, except that the p - 1 cyclic
+sg3(t, r-1) equal sg1m(t, r-1, 0); enumerate_catalog lists the table with
+sg3 at i < r - 1 only, in sort-key order, and builds no tables.
 
 Internally every subgroup is reduced to a transversal normal form
 (SubgroupTable): the x-axis intersection step d and, for each value b of the
@@ -21,8 +20,9 @@ y-projection, the unique representative x-offset in [0, d). Two subgroups are
 equal iff their tables are equal. _head reads the table's head (d, s, a_1)
 off the generators in O(#gens * log p^2) group operations: d = p^k, the
 y-step s = p^j (y_mod if the y-projection is trivial), and row 1 is
-(s, a_1) with a_1 = u*p^i for a unit u. canonicalize reads the catalog
-descriptor off the head and builds no table:
+(s, a_1) with a_1 = u*p^i for a unit u. Row k is (k*s, a_k), a_k the x-part
+of (a_1, s)^k mod d, which _rows computes with one pow, so no solve builds a
+table. canonicalize reads the catalog descriptor off the head:
 
     s == y_mod                   sg1x(k)
     a_1 == 0                     sg2(k, j) if k < r, else sg1m(1, r, j)
@@ -232,6 +232,15 @@ def _head(gp: gr.SemidirectGroup, gens) -> tuple[int, int, int]:
     return d, s, h[0] % d
 
 
+def _rows(gp: gr.SemidirectGroup, head: tuple[int, int, int]):
+    """k -> a_k = a_1 (q^k - 1)/(q - 1) mod d, with q = alpha^s mod x_mod +
+    x_mod > 1, read from q^k mod d*(q - 1)."""
+    d, s, a_1 = head
+    q = pow(gp.alpha, s, gp.x_mod) + gp.x_mod
+    mod = d * (q - 1)
+    return lambda k: a_1 * ((pow(q, k, mod) - 1) // (q - 1)) % d
+
+
 @lru_cache(maxsize=None)
 def table_for(gp: gr.GroupParams, d: Descriptor) -> SubgroupTable:
     return SubgroupTable.from_generators(gp, generators(gp, d))
@@ -246,23 +255,17 @@ def _units(modulus: int, p: int) -> list[int]:
     return [t for t in range(1, modulus) if t % p]
 
 
-@lru_cache(maxsize=None)
-def _descriptor_space(gp: gr.GroupParams) -> frozenset:
-    """Every descriptor the module docstring's range table allows for gp."""
+def enumerate_catalog(gp: gr.GroupParams) -> list[Descriptor]:
+    """All subgroups of G, one canonical descriptor each, in sort-key order:
+    the module docstring's range table without the aliases sg3(t, r-1)."""
     p, r = gp.p, gp.r
-    space = {sg1x(i) for i in range(r + 1)}
+    catalog = [sg1x(i) for i in range(r + 1)]
     for j in (0, 1):
         for i in range(r + 1):
-            space.update(sg1m(t, i, j) for t in _units(p ** min(r - i, 2 - j), p))
-    space.update(sg2(i, j) for j in (0, 1) for i in range(r))
-    space.update(sg3(t, i) for i in range(r) for t in _units(p, p))
-    return frozenset(space)
-
-
-def enumerate_catalog(gp: gr.GroupParams) -> list[Descriptor]:
-    """All subgroups of G, one canonical descriptor each, in sort-key order."""
-    aliases = {sg3(t, gp.r - 1) for t in _units(gp.p, gp.p)}
-    return sorted(_descriptor_space(gp) - aliases, key=Descriptor.sort_key)
+            catalog += [sg1m(t, i, j) for t in _units(p ** min(r - i, 2 - j), p)]
+    catalog += [sg2(i, j) for j in (0, 1) for i in range(r)]
+    catalog += [sg3(t, i) for i in range(r - 1) for t in _units(p, p)]
+    return sorted(catalog, key=Descriptor.sort_key)
 
 
 def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:

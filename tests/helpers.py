@@ -1,6 +1,7 @@
 """Reference code that only tests call: register spans and axis depths
-computed by brute force from explicit element sets, and a recorder of the
-elements an oracle is queried on."""
+computed by brute force from explicit element sets, the row walk that
+qsim.pullback's closed form replaced, and a recorder of the elements an
+oracle is queried on."""
 
 import math
 from functools import reduce
@@ -8,8 +9,8 @@ from functools import reduce
 from hsp_sdp import group as gr
 from hsp_sdp import numtheory as nt
 from hsp_sdp import oracle as orc
-from hsp_sdp.qsim import Register, _add, _zero
-from hsp_sdp.subgroup import SubgroupSet
+from hsp_sdp.qsim import Register, _add, _shape, _zero
+from hsp_sdp.subgroup import SubgroupSet, SubgroupTable
 
 
 def register_span(dims: Register, gens) -> frozenset:
@@ -41,6 +42,31 @@ def intersect_with_axis(gp: gr.GroupParams, subgroup: SubgroupSet, axis: str) ->
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     assert u <= 1, "axis intersection must be a p-power cyclic group"
     return v
+
+
+def row_walk_k_gens(table: SubgroupTable, domain) -> tuple:
+    """Generators of K = embed^-1(H) for H's table, by the reference scan's
+    rule (qsim module docstring), found by walking every row of H in b order."""
+    n, s, n_v, kept = _shape(domain, table.y_mod)
+    d = table.x_step
+    g = math.gcd(s, d)
+    step = d // g  # the solutions u of s u == a (mod d) repeat with this period
+    inv = pow(s // g, -1, step) if step > 1 else 0
+    v0 = u1 = v1 = None
+    for b, a in table.reps:  # sorted by b
+        if b >= n_v:
+            break
+        if a % g:
+            continue
+        u = a // g * inv % step  # least u >= 0 with s u == a (mod d)
+        if u == 0:
+            if b and v0 is None:
+                v0 = b
+            u = step
+        if u < n and (u1 is None or u < u1):
+            u1, v1 = u, b
+    gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
+    return tuple(tuple(pt[i] for i in kept) for pt in gens)
 
 
 def record_queries(monkeypatch) -> list:

@@ -12,6 +12,7 @@ from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
 from hsp_sdp import reference
+from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
     PreconditionViolated,
@@ -19,7 +20,7 @@ from hsp_sdp.errors import (
     TooLarge,
 )
 
-from helpers import record_queries, register_span
+from helpers import record_queries, register_span, row_walk_k_gens
 
 G350 = gr.make_group(3, 5, 0)
 G351 = gr.make_group(3, 5, 1)
@@ -266,12 +267,85 @@ def test_closed_form_matches_scan_on_composite_domains():
             for slot in ([], [(unit5, 0)]):
                 o = orc.make_oracle_from_generators(dec.parent, lifted + slot)
                 fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
-                assert fo._sim_table() == (table.x_step, table.reps)
+                head = fo._sim_table()
+                assert head == sg._head(dec.semidirect, sg.generators(dec.semidirect, descr))
+                row = sg._rows(dec.semidirect, head)
+                assert [row(k) for k in range(len(table.reps))] == [a for _, a in table.reps]
                 label = (alpha, descr, slot)
                 for dom in solver_domains(dec.semidirect):
                     assert_closed_form_matches_scan(fo, table, dom, label)
                 parent_table = sg.SubgroupTable.from_generators(dec.parent, lifted + slot)
                 assert assert_closed_form_matches_scan(o, parent_table, crt_axis, label)
+
+
+@pytest.mark.parametrize("gp", [G350, G351, G353, G561, gr.make_group(7, 5, 1)])
+def test_closed_form_pullback_matches_the_row_walk(gp):
+    compared = set()  # domains with a pair the conditions admit
+    for descr in sg.enumerate_catalog(gp):
+        o = orc.make_oracle(gp, descr)
+        table = sg.table_for(gp, descr)
+        for dom in solver_domains(gp):
+            if coset_conditions(gp, table, dom):
+                assert qsim.pullback(o, dom).gens == row_walk_k_gens(table, dom), (descr, dom.name)
+                compared.add(dom.name)
+    assert compared == {dom.name for dom in solver_domains(gp)}
+
+
+def test_closed_form_pullback_matches_the_row_walk_on_factor_views():
+    for alpha in (271, 811):
+        dec = cx.decompose(cx.make_composite(1215, 3, alpha))
+        unit5 = dec.abelian[0].crt_unit
+        crt_axis = qsim.Domain((5,), ((unit5, 0),), name="crt-5")
+        for descr in sg.enumerate_catalog(dec.semidirect):
+            table = sg.table_for(dec.semidirect, descr)
+            lifted = [(a * dec.p_crt_unit % 1215, b)
+                      for a, b in sg.generators(dec.semidirect, descr)]
+            for slot in ([], [(unit5, 0)]):
+                o = orc.make_oracle_from_generators(dec.parent, lifted + slot)
+                fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
+                label = (alpha, descr, slot)
+                for dom in solver_domains(dec.semidirect):
+                    if coset_conditions(dec.semidirect, table, dom):
+                        assert qsim.pullback(fo, dom).gens == row_walk_k_gens(table, dom), label
+                parent_table = sg.SubgroupTable.from_generators(dec.parent, lifted + slot)
+                assert coset_conditions(dec.parent, parent_table, crt_axis)
+                assert qsim.pullback(o, crt_axis).gens == row_walk_k_gens(parent_table, crt_axis)
+
+
+def test_solver_pullbacks_meet_the_coset_conditions(monkeypatch):
+    # the closed form's precondition holds on every call solve and
+    # solve_composite make: seeded solves with both strategies, composite
+    # solves of every lifted p-part subgroup with and without the Z_5 slot
+    met = []
+    pullback = qsim.pullback
+
+    def checked(o, dom):
+        d, s, a_1 = o._sim_table()
+        gp = o.group
+        table = sg.SubgroupTable.from_generators(gp, [(d % gp.x_mod, 0), (a_1, s % gp.y_mod)])
+        met.append(coset_conditions(gp, table, dom))
+        return pullback(o, dom)
+
+    monkeypatch.setattr(qsim, "pullback", checked)
+    g751 = gr.make_group(7, 5, 1)
+    picks = [(gp, d) for gp in (G350, G351, G353, G561) for d in sg.enumerate_catalog(gp)]
+    picks += [(g751, d) for d in random.Random(751).sample(sg.enumerate_catalog(g751), 60)]
+    for seed, (gp, d) in enumerate(picks):
+        for strategy in ("direct", "abelianization"):
+            try:
+                solver.solve(orc.make_oracle(gp, d), strategy=strategy, seed=seed)
+            except PreconditionViolated:
+                assert strategy == "abelianization"
+    for alpha in (271, 811):
+        cp = cx.make_composite(1215, 3, alpha)
+        dec = cx.decompose(cp)
+        for seed, descr in enumerate(sg.enumerate_catalog(dec.semidirect)):
+            lifted = [(a * dec.p_crt_unit % 1215, b)
+                      for a, b in sg.generators(dec.semidirect, descr)]
+            for slot in ([], [(dec.abelian[0].crt_unit, 0)]):
+                o = orc.make_oracle_from_generators(dec.parent, lifted + slot)
+                cx.solve_composite(cp, o, seed=seed)
+    assert met and all(met)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,38 @@ def test_solve_large_groups_without_catalog_tables(p, r):
         rep = solver.solve(orc.make_oracle(gp, d), seed=k)
         assert rep.recovered == d
         assert rep.verified
+    assert sg.table_for.cache_info().currsize == before
+
+
+def test_solving_builds_no_table(monkeypatch):
+    # oracles, solves and composite solves read the head (d, s, a_1) only
+    picks = [(G351, d) for d in sg.enumerate_catalog(G351)]
+    for p in (7, 101):
+        gp = gr.make_group(p, 5, 1)
+        picks += [(gp, d) for d in random.Random(p).sample(sg.enumerate_catalog(gp), 8)]
+    composite = []
+    for alpha in (271, 811):
+        cp = cx.make_composite(1215, 3, alpha)
+        dec = cx.decompose(cp)
+        for descr in random.Random(alpha).sample(sg.enumerate_catalog(dec.semidirect), 8):
+            lifted = [(a * dec.p_crt_unit % cp.N, b)
+                      for a, b in sg.generators(dec.semidirect, descr)]
+            gens = lifted + [(dec.abelian[0].crt_unit, 0)]
+            order = sg.SubgroupTable.from_generators(dec.parent, gens).order
+            composite.append((cp, dec, descr, gens, order))
+
+    def no_table(*args):
+        raise AssertionError("a solve built a table")
+
+    monkeypatch.setattr(sg.SubgroupTable, "from_generators", no_table)
+    monkeypatch.setattr(sg, "table_for", no_table)
+    for seed, (gp, d) in enumerate(picks):
+        for o in (orc.make_oracle(gp, d),
+                  orc.make_oracle_from_generators(gp, sg.generators(gp, d))):
+            assert solver.solve(o, seed=seed).recovered == d
+    for seed, (cp, dec, descr, gens, order) in enumerate(composite):
+        res = cx.solve_composite(cp, orc.make_oracle_from_generators(dec.parent, gens), seed=seed)
+        assert (res.semidirect_report.recovered, res.subgroup_order) == (descr, order)
 
 
 def test_solve_abelian_group_direct_product():

@@ -519,24 +519,34 @@ def _pinned_group(key):
 @pytest.mark.parametrize("key", list(NORMAL_FORM_DIGESTS))
 def test_normal_form_and_powers_keep_their_digests(key):
     gp = _pinned_group(key)
-    p, x_mod, y_mod = gp.p, gp.x_mod, gp.y_mod
-    depth = nt.p_valuation(x_mod, p)[0]
+    x_mod, y_mod = gp.x_mod, gp.y_mod
     rng = random.Random(repr(key))
-    lines = []
-    for _ in range(300):
-        # x values scaled by random powers of p reach the deep subgroups, and
-        # y values scaled by p or p^2 reach the pivots off the generating row
-        gens = [
-            (rng.randrange(x_mod) * p ** rng.randrange(depth + 1) % x_mod,
-             rng.randrange(y_mod) * rng.choice((1, p, p * p)) % y_mod)
-            for _ in range(rng.randrange(1, 4))
-        ]
-        if rng.random() < 0.2:
-            gens.insert(rng.randrange(len(gens) + 1), gr.IDENTITY)
-        lines.append(repr(sg.SubgroupTable.from_generators(gp, gens)))
+    lines = [repr(sg.SubgroupTable.from_generators(gp, gens))
+             for gens in _seeded_generating_sets(gp, rng, 300)]
     for _ in range(300):
         g = (rng.randrange(x_mod), rng.randrange(y_mod))
         k = rng.randrange(1 - gp.order, gp.order)
         lines.append(repr(gr.power(gp, g, k)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == NORMAL_FORM_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(NORMAL_FORM_DIGESTS))
+def test_rows_of_the_head_match_the_table(key):
+    # the digest test's generating sets: every row, computed on demand
+    gp = _pinned_group(key)
+    for gens in _seeded_generating_sets(gp, random.Random(repr(key)), 300):
+        table = sg.SubgroupTable.from_generators(gp, gens)
+        row = sg._rows(gp, sg._head(gp, gens))
+        assert [row(k) for k in range(len(table.reps))] == [a for _, a in table.reps], gens
+
+
+@pytest.mark.parametrize("p", [101, 211])
+def test_rows_of_the_head_match_the_table_at_large_p(p):
+    gp = gr.make_group(p, 5, 1)
+    rng = random.Random(p)
+    for gens in _seeded_generating_sets(gp, rng, 12):
+        table = sg.SubgroupTable.from_generators(gp, gens)
+        row = sg._rows(gp, sg._head(gp, gens))
+        for k in rng.sample(range(len(table.reps)), min(len(table.reps), 40)):
+            assert row(k) == table.reps[k][1], (gens, k)
