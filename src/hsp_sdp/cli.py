@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -271,6 +272,7 @@ def _add_group_args(sp, required=True):
     sp.add_argument("--tau", type=int, required=required, help="twist parameter mod p^2")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsp-sdp",

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import itemgetter
 
 from . import group as gr
 from . import numtheory as nt
@@ -285,7 +284,9 @@ def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:
 
 
 def subgroup_order(gp: gr.GroupParams, d: Descriptor) -> int:
-    return table_for(gp, d).order
+    """|H| = (x_mod/d) * (y_mod/s), read from the head."""
+    x_step, y_step, _ = _head(gp, generators(gp, d))
+    return gp.order // (x_step * y_step)
 
 
 def elements(gp: gr.GroupParams, d: Descriptor) -> SubgroupSet:
@@ -302,12 +303,17 @@ def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
     """Exact normality: conjugate the generators by x and y.
 
     Conjugation is an automorphism and G = <x, y>, so this is equivalent to
-    conjugating every element by every element.
+    conjugating every element by every element. A conjugate (a, b) is in H
+    when b lies on the y-step s and a is row b/s mod the x-step (_rows), so
+    no table is built.
     """
-    table = table_for(gp, d)
-    for h in generators(gp, d):
+    gens = generators(gp, d)
+    x_step, y_step, _ = head = _head(gp, gens)
+    row = _rows(gp, head)
+    for h in gens:
         for c in ((1, 0), (0, 1)):
-            if not table.contains(gr.conjugate(gp, h, c)):
+            a, b = gr.conjugate(gp, h, c)
+            if b % y_step or a % x_step != row(b // y_step):
                 return False
     return True
 
@@ -336,15 +342,6 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
 
 # ------------------------------------------------------------ brute force
 
-_OFF, _ON = ord("0"), ord("1")
-
-
-def _flags_to_bits(flags: bytearray) -> int:
-    """Pack ASCII "0"/"1" flags at index a*y_mod + b into an int bitset in
-    one pass: the reversed array is the bitset's binary numeral."""
-    return int(flags[::-1], 2)
-
-
 def bitset_elements(bits: int, y_mod: int) -> SubgroupSet:
     """The element set of an int bitset over the index a*y_mod + b."""
     flags = bin(bits)[:1:-1]
@@ -362,40 +359,42 @@ def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[in
     Walking <g> lists g^k for k = 1..ord(g); every g^k with gcd(k, ord(g)) = 1
     generates the same <g>, so those elements are skipped as later starting
     points, and every remaining element gives a new one. So each element
-    generates exactly one of the subgroups listed.
+    generates exactly one of the subgroups listed. The bitset of <g> is set
+    bit by bit in a packed little-endian byte array, read by int.from_bytes.
     """
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
     found, orders, gen_idx = [], [], []
-    covered = bytearray(gp.order)
-    flags = bytearray(b"0") * gp.order
-    for idx in range(gp.order):
-        if covered[idx]:
-            continue
-        g = divmod(idx, y_mod)
+    covered, nbytes = bytearray(gp.order), (gp.order + 7) // 8
+    prime_to: dict[int, list[int]] = {}  # order n -> indices into powers of the generators
+    idx = 0
+    while idx >= 0:  # idx runs over the elements not yet covered
+        a0, b0 = a1, b1 = divmod(idx, y_mod)
         powers = [idx]
-        a1, b1 = g
         while a1 or b1:  # up to the identity (0, 0)
-            a1, b1 = (a1 + g[0] * apow[b1]) % x_mod, (b1 + g[1]) % y_mod
+            a1, b1 = (a1 + a0 * apow[b1]) % x_mod, (b1 + b0) % y_mod
             powers.append(a1 * y_mod + b1)
         n = len(powers)
-        for k, pdx in enumerate(powers, 1):
-            flags[pdx] = _ON
-            if math.gcd(k, n) == 1:
-                covered[pdx] = 1
-        found.append(_flags_to_bits(flags))
+        if n not in prime_to:
+            prime_to[n] = [k - 1 for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        for k in prime_to[n]:
+            covered[powers[k]] = 1
+        packed = bytearray(nbytes)
+        for pdx in powers:
+            packed[pdx >> 3] |= 1 << (pdx & 7)
+        found.append(int.from_bytes(packed, "little"))
         orders.append(n)
         gen_idx.append(idx)
-        for pdx in powers:
-            flags[pdx] = _OFF
+        idx = covered.find(0, idx + 1)
     return found, orders, gen_idx
 
 
 def _cyclic_mask(gp: gr.GroupParams, bits: int, cyclic_gens: list[int]) -> int:
     """Bit c is set when the subgroup bitset holds generator c, that is,
-    when the subgroup contains cyclic subgroup c."""
-    flags = format(bits, f"0{gp.order}b")[::-1]  # flags[i] is bit i
-    return int("".join(itemgetter(*cyclic_gens)(flags))[::-1], 2)
+    when the subgroup contains cyclic subgroup c. Bit i of the bitset is bit
+    i % 8 of byte i // 8 of its little-endian bytes."""
+    packed = bits.to_bytes((gp.order + 7) // 8, "little")
+    return sum(1 << c for c, i in enumerate(cyclic_gens) if packed[i >> 3] >> (i & 7) & 1)
 
 
 def _columns(gp: gr.SemidirectGroup, bits: int) -> list[tuple[int, int]]:
@@ -459,8 +458,12 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     Containment is tested on masks with one bit per cyclic subgroup
     (_cyclic_mask), far fewer bits than |G|. A subgroup is the union of the
     cyclic subgroups of its elements, so A <= K exactly when
-    mask(A) & mask(K) == mask(A). Element bitsets are used only for |A n B|
-    (one AND, one popcount), for closures and for the output.
+    mask(A) & mask(K) == mask(A), and a mask names at most one subgroup.
+    mask(A) & mask(B) is the mask of A n B, so |A n B| is looked up in
+    order_of (mask -> order of every member found so far); only on a miss,
+    when A n B is not yet found, is it one AND and one popcount of the
+    element bitsets. Element bitsets are otherwise used only for closures
+    and for the output.
 
     Joins use the product formula. For subgroups A and B the set AB has
     exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
@@ -475,6 +478,7 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     found, orders, cyclic_gens = _cyclic_subgroups(gp)
     masks = [_cyclic_mask(gp, bits, cyclic_gens) for bits in found]
     gens_of = {bits: (divmod(i, gp.y_mod),) for bits, i in zip(found, cyclic_gens)}
+    order_of = dict(zip(masks, orders))  # mask -> order
     by_order: dict[int, list[int]] = {}  # order -> masks
     for order, mask in zip(orders, masks):
         by_order.setdefault(order, []).append(mask)
@@ -487,7 +491,8 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
             if meet == mask_a or meet == mask_b:
                 continue
             union = mask_a | mask_b
-            order = order_a * order_b // (bits_a & bits_b).bit_count()
+            meet_order = order_of.get(meet) or (bits_a & bits_b).bit_count()
+            order = order_a * order_b // meet_order
             for k in by_order.get(order, ()):
                 if k & union == union:
                     break  # <A, B> = AB is already in the lattice
@@ -500,6 +505,7 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
                     found.append(bits)
                     orders.append(bits.bit_count())
                     masks.append(_cyclic_mask(gp, bits, cyclic_gens))
+                    order_of[masks[-1]] = orders[-1]
                     by_order.setdefault(orders[-1], []).append(masks[-1])
     return found
 

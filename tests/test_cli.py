@@ -46,6 +46,19 @@ def test_verify_catalog_reproduces_stored_stdout_at_p5(capsys, tau):
 
 # ----------------------------------------------------------------- enumerate
 
+@pytest.mark.parametrize("tau", [0, 1, 3])
+def test_enumerate_builds_no_table(capsys, monkeypatch, tau):
+    # order and normality are read from each entry's head (d, s, a_1)
+    def no_table(*args):
+        raise AssertionError("enumerate built a table")
+
+    monkeypatch.setattr(sg.SubgroupTable, "from_generators", no_table)
+    monkeypatch.setattr(sg, "table_for", no_table)
+    code, out, _ = run_cli(capsys, ["enumerate", "--p", "3", "--r", "5", "--tau", str(tau)])
+    assert code == 0
+    assert out == stored(f"enumerate_p3_r5_tau{tau}.txt")
+
+
 def test_enumerate_emits_catalog_as_json_lines(capsys):
     code, out, _ = run_cli(capsys, ["enumerate", "--p", "3", "--r", "5", "--tau", "1"])
     assert code == 0
@@ -438,6 +451,25 @@ def test_console_entry_smoke():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 62
+
+
+def test_calls_in_one_process_match_lone_calls(capsys):
+    # the parser is built once per process and reused by every call
+    group = ["--p", "3", "--r", "5", "--tau", "1"]
+    runs = [
+        ["verify-catalog", "--r", "5", "--tau", "1"],  # usage error: no --p
+        ["verify-catalog", *group],
+        ["solve", *group, "--subgroup", '{"form":"bad"}'],
+        ["enumerate", *group],
+    ]
+    in_process = [run_cli(capsys, argv) for argv in runs]
+    lone = [
+        subprocess.run([sys.executable, "-m", "hsp_sdp.cli", *argv], capture_output=True, text=True)
+        for argv in runs
+    ]
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in lone]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_usage_error_exits_2(capsys):

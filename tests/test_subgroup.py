@@ -333,15 +333,18 @@ def test_brute_force_lattice_guard():
 
 
 
-# sha256 of ",".join(map(hex, brute_force_lattice_bits(gp))), recorded from the
-# element-by-element closure that the coset closure replaced: the list and its
-# discovery order are pinned
+# sha256 of ",".join(map(hex, brute_force_lattice_bits(gp))): the list and its
+# discovery order are pinned. The first five were recorded from the
+# element-by-element closure that the coset closure replaced, (5, 5, 5) and
+# (3, 7, 3) from the coset closure before |A n B| was looked up by mask
 LATTICE_DIGESTS = {
     (3, 5, 0): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
     (3, 5, 1): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
     (3, 5, 3): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
     (3, 6, 1): "94853ef121dbf2e5fada7b1cbb58000e3b5932ee74d309eec8b312a7748c3a76",
     (5, 5, 1): "5fe153e54dbf931646e82deb2c905032d7a9474285095cc542eba11e5e4ae91e",
+    (5, 5, 5): "5fe153e54dbf931646e82deb2c905032d7a9474285095cc542eba11e5e4ae91e",
+    (3, 7, 3): "3d4541c9272a76b6ef8fa3720c4ff1b8121acbf52e933c1de8a5fbe6ca3a690c",
 }
 
 
@@ -365,6 +368,19 @@ def test_right_coset_matches_elementwise_products(p, r, tau):
             assert sg.bitset_elements(coset, gp.y_mod) == {gr.mul(gp, h, k) for h in members}
 
 
+@pytest.mark.parametrize("p,r,tau", [(3, 5, 1), (3, 5, 3), (5, 3, 1)])
+def test_cyclic_subgroups_lists_each_cyclic_closure_once(p, r, tau):
+    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    found, orders, gen_idx = sg._cyclic_subgroups(gp)
+    listed = [sg.bitset_elements(bits, gp.y_mod) for bits in found]
+    assert len(set(listed)) == len(listed)
+    closures = {mulclose(gp, [g]) for g in itertools.product(range(gp.x_mod), range(gp.y_mod))}
+    assert set(listed) == closures
+    for bits, order, idx in zip(found, orders, gen_idx):
+        assert order == bits.bit_count()
+        assert bits >> idx & 1
+
+
 @pytest.mark.parametrize("tau", [0, 1, 3])
 def test_cyclic_mask_containment_equals_bitset_containment(tau):
     gp = gr.make_group(3, 5, tau)
@@ -372,9 +388,12 @@ def test_cyclic_mask_containment_equals_bitset_containment(tau):
     lattice = sg.brute_force_lattice_bits(gp)
     masks = [sg._cyclic_mask(gp, bits, cyclic_gens) for bits in lattice]
     assert len(set(masks)) == len(lattice)
+    by_mask = dict(zip(masks, lattice))
     for a, mask_a in zip(lattice, masks):
         for b, mask_b in zip(lattice, masks):
             assert (mask_a & mask_b == mask_a) == (a & b == a)
+            # the lattice looks |A n B| up by this meet of masks
+            assert by_mask[mask_a & mask_b] == a & b
 
 
 @pytest.mark.parametrize("tau", [1, 3])
@@ -432,6 +451,20 @@ def test_is_normal_matches_exhaustive_conjugation():
             elems = sg.elements(gp, d)
             exhaustive = _closed_under_conjugation(gp, elems)
             assert sg.is_normal(gp, d) == exhaustive
+
+
+@pytest.mark.parametrize("p,r,tau", [(3, 5, 3), (5, 6, 1), (7, 5, 7), (3, 3, 1)])
+def test_order_and_normality_from_the_head_match_the_table(p, r, tau):
+    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    conjugators = ((1, 0), (0, 1))
+    for d in sg.enumerate_catalog(gp):
+        table = sg.SubgroupTable.from_generators(gp, sg.generators(gp, d))
+        assert sg.subgroup_order(gp, d) == table.order, d
+        normal = all(
+            table.contains(gr.conjugate(gp, h, c))
+            for h in sg.generators(gp, d) for c in conjugators
+        )
+        assert sg.is_normal(gp, d) == normal, d
 
 
 # ---------------------------------------------------------------- commutator
