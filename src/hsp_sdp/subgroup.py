@@ -12,17 +12,17 @@ with a unit mod q taken in [1, q). This table is the one spec of the
 descriptors: validate_descriptor checks one against its ranges without
 enumerating. It names each subgroup once, except that the p - 1 cyclic
 sg3(t, r-1) equal sg1m(t, r-1, 0); enumerate_catalog lists the table with
-sg3 at i < r - 1 only, in sort-key order, and builds no tables.
+sg3 at i < r - 1 only, in (form, i, j, t) order, and builds no tables.
 
-Internally every subgroup is reduced to a transversal normal form
-(SubgroupTable): the x-axis intersection step d and, for each value b of the
-y-projection, the unique representative x-offset in [0, d). Two subgroups are
-equal iff their tables are equal. _head reads the table's head (d, s, a_1)
-off the generators in O(#gens * log p^2) group operations: d = p^k, the
-y-step s = p^j (y_mod if the y-projection is trivial), and row 1 is
-(s, a_1) with a_1 = u*p^i for a unit u. Row k is (k*s, a_k), a_k the x-part
-of (a_1, s)^k mod d, which _rows computes with one pow, so no solve builds a
-table. canonicalize reads the catalog descriptor off the head:
+A subgroup's normal form is its head (d, s, a_1), read off the generators
+by _head in O(#gens * log p^2) group operations: the x-axis step d = p^k,
+the y-step s = p^j (y_mod if the y-projection is trivial), and row 1
+(s, a_1) with a_1 = u*p^i in [0, d) for a unit u; two subgroups are equal
+iff their heads are. Row k is (k*s, a_k), a_k the x-part of (a_1, s)^k mod
+d, which _rows computes with one pow, so no solve builds a table.
+SubgroupTable materializes the head as one x-offset per y-value, for
+bitsets, element sets and the tests' reference. canonicalize reads the
+catalog descriptor off the head:
 
     s == y_mod                   sg1x(k)
     a_1 == 0                     sg2(k, j) if k < r, else sg1m(1, r, j)
@@ -43,8 +43,6 @@ from .errors import InvalidDescriptor, TooLarge
 MATERIALIZE_GUARD = 2**24
 BRUTE_FORCE_GUARD = 2**20
 
-FORM_RANK = {"sg1x": 0, "sg1m": 1, "sg2": 2, "sg3": 3}
-
 SubgroupSet = frozenset  # frozenset[gr.Element]
 
 
@@ -54,9 +52,6 @@ class Descriptor:
     i: int
     t: int | None = None
     j: int | None = None
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (FORM_RANK[self.form], self.i, self.j or 0, self.t or 0)
 
 
 def sg1x(i: int) -> Descriptor:
@@ -89,9 +84,9 @@ def descriptor_from_json(blob: dict) -> Descriptor:
     if not isinstance(blob, dict) or "form" not in blob or "i" not in blob:
         raise InvalidDescriptor(f"malformed descriptor JSON: {blob!r}")
     form = blob["form"]
-    if form not in FORM_RANK:
+    allowed = {"sg1x": set(), "sg1m": {"t", "j"}, "sg2": {"j"}, "sg3": {"t"}}.get(form)
+    if allowed is None:
         raise InvalidDescriptor(f"unknown form {form!r}")
-    allowed = {"sg1x": set(), "sg1m": {"t", "j"}, "sg2": {"j"}, "sg3": {"t"}}[form]
     extra = set(blob) - {"form", "i"} - allowed
     missing = allowed - set(blob)
     if extra or missing:
@@ -255,16 +250,16 @@ def _units(modulus: int, p: int) -> list[int]:
 
 
 def enumerate_catalog(gp: gr.GroupParams) -> list[Descriptor]:
-    """All subgroups of G, one canonical descriptor each, in sort-key order:
-    the module docstring's range table without the aliases sg3(t, r-1)."""
+    """All subgroups of G, one descriptor each, in (form, i, j, t) order: the
+    module docstring's range table without the aliases sg3(t, r-1)."""
     p, r = gp.p, gp.r
     catalog = [sg1x(i) for i in range(r + 1)]
-    for j in (0, 1):
-        for i in range(r + 1):
+    for i in range(r + 1):
+        for j in (0, 1):
             catalog += [sg1m(t, i, j) for t in _units(p ** min(r - i, 2 - j), p)]
-    catalog += [sg2(i, j) for j in (0, 1) for i in range(r)]
+    catalog += [sg2(i, j) for i in range(r) for j in (0, 1)]
     catalog += [sg3(t, i) for i in range(r - 1) for t in _units(p, p)]
-    return sorted(catalog, key=Descriptor.sort_key)
+    return catalog
 
 
 def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:
@@ -300,22 +295,17 @@ def elements(gp: gr.GroupParams, d: Descriptor) -> SubgroupSet:
 
 
 def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
-    """Exact normality: conjugate the generators by x and y.
+    """Exact normality from the head (d, s, a_1): H = <x^d, h>, h = (a_1, s).
 
-    Conjugation is an automorphism and G = <x, y>, so this is equivalent to
-    conjugating every element by every element. A conjugate (a, b) is in H
-    when b lies on the y-step s and a is row b/s mod the x-step (_rows), so
-    no table is built.
+    As G = <x, y>, H is normal iff x and y conjugate x^d and h into H. x fixes
+    x^d and y sends it to x^(alpha*d) in <x^d>; y h y^-1 = (alpha*a_1, s) and
+    x h x^-1 = (a_1 + 1 - alpha^s, s), and (a, s) is in H iff a = a_1 mod d.
+    So H is normal iff d | (alpha - 1)*a_1 and d | alpha^s - 1, where alpha^s
+    may be read mod x_mod as d | x_mod.
     """
-    gens = generators(gp, d)
-    x_step, y_step, _ = head = _head(gp, gens)
-    row = _rows(gp, head)
-    for h in gens:
-        for c in ((1, 0), (0, 1)):
-            a, b = gr.conjugate(gp, h, c)
-            if b % y_step or a % x_step != row(b // y_step):
-                return False
-    return True
+    x_step, y_step, a_1 = _head(gp, generators(gp, d))
+    q = pow(gp.alpha, y_step, gp.x_mod)
+    return (gp.alpha - 1) * a_1 % x_step == 0 and (q - 1) % x_step == 0
 
 
 def commutator_subgroup(gp: gr.GroupParams) -> Descriptor:
@@ -463,7 +453,10 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     order_of (mask -> order of every member found so far); only on a miss,
     when A n B is not yet found, is it one AND and one popcount of the
     element bitsets. Element bitsets are otherwise used only for closures
-    and for the output.
+    and for the output. No miss happens in G: meets of cyclic subgroups are
+    cyclic, and G is metacyclic, so every subgroup joins two cyclic ones and
+    is found before the first non-cyclic member is tried. The fallback
+    stays, as this reference assumes no generator bound.
 
     Joins use the product formula. For subgroups A and B the set AB has
     exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup

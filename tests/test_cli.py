@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hsp_sdp import cli
+from hsp_sdp import group as gr
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import InvalidDescriptor, RetriesExhausted
@@ -54,6 +55,7 @@ def test_enumerate_builds_no_table(capsys, monkeypatch, tau):
 
     monkeypatch.setattr(sg.SubgroupTable, "from_generators", no_table)
     monkeypatch.setattr(sg, "table_for", no_table)
+    monkeypatch.setattr(gr, "conjugate", no_table)  # normality is two divisibility tests
     code, out, _ = run_cli(capsys, ["enumerate", "--p", "3", "--r", "5", "--tau", str(tau)])
     assert code == 0
     assert out == stored(f"enumerate_p3_r5_tau{tau}.txt")
@@ -351,6 +353,28 @@ def test_verify_catalog_passes_for_reference_groups(capsys):
     assert code == 0
     assert "PASS" in out
     assert 'derived subgroup {"form":"sg1x","i":3} equals brute-force commutators: OK' in out
+
+
+def test_verify_catalog_builds_one_table_per_entry(capsys, monkeypatch):
+    # each claim's containment is one bit of its entry's bitset, and normality
+    # is read from the head; the one extra table is the derived subgroup's elements
+    def refused(*args):
+        raise AssertionError("verify-catalog tested membership or conjugated")
+
+    calls = []
+    full = sg.table_for
+
+    def counted(gp, d):
+        calls.append(d)
+        return full(gp, d)
+
+    monkeypatch.setattr(sg.SubgroupTable, "contains", refused)
+    monkeypatch.setattr(gr, "conjugate", refused)
+    monkeypatch.setattr(sg, "table_for", counted)
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 0
+    assert out == stored("verify_catalog_p3_r5_tau1.txt")
+    assert len(calls) == 63
 
 
 def test_verify_catalog_fails_on_missing_subgroup(capsys, monkeypatch):

@@ -453,7 +453,13 @@ def test_is_normal_matches_exhaustive_conjugation():
             assert sg.is_normal(gp, d) == exhaustive
 
 
-@pytest.mark.parametrize("p,r,tau", [(3, 5, 3), (5, 6, 1), (7, 5, 7), (3, 3, 1)])
+@pytest.mark.parametrize(
+    "p,r,tau",
+    [
+        (3, 5, 3), (5, 6, 1), (7, 5, 7), (3, 3, 1),
+        (5, 6, 5), (7, 5, 0), (5, 4, 1), (11, 5, 1), (13, 5, 13), (3, 36, 1),
+    ],
+)
 def test_order_and_normality_from_the_head_match_the_table(p, r, tau):
     gp = gr.make_group(p, r, tau, allow_unclassified=True)
     conjugators = ((1, 0), (0, 1))
