@@ -7,8 +7,10 @@ Subcommands:
   verify-catalog  cross-check the catalog and its normality claims by brute force
 
 Exit codes: 0 success, 1 runtime failure (retries exhausted or verification
-failed), 2 configuration or usage error. HSP_SDP_THREADS sets the number of
-sweep workers; unset or 0 means os.cpu_count().
+failed), 2 configuration or usage error. A sweep takes one worker process
+per 128 solves (catalog size times --trials), so one under 256 solves runs in
+this process. HSP_SDP_THREADS caps the workers; unset or 0 means the CPUs this
+process may use. The output is identical either way.
 """
 
 from __future__ import annotations
@@ -140,19 +142,35 @@ def _sweep_worker(task):
     return successes == trials, row
 
 
-def _cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise PreconditionViolated("--trials must be at least 1")
+#: below this many solves per worker, a pool's start-up and round trips cost
+#: more than the solving it splits (the crossover is measured in README.md)
+_SOLVES_PER_WORKER = 128
+
+
+def _sweep_jobs(solves: int) -> int:
+    """Worker processes for a sweep of this many solves: one per
+    _SOLVES_PER_WORKER solves, at least one, and at most HSP_SDP_THREADS or,
+    when that is unset or 0, the CPUs this process may use."""
     threads = os.environ.get("HSP_SDP_THREADS") or "0"
     try:
-        jobs = int(threads)
+        cap = int(threads)
     except ValueError:
-        jobs = -1
-    if jobs < 0:
+        cap = -1
+    if cap < 0:
         raise PreconditionViolated(
             f"HSP_SDP_THREADS must be a non-negative integer, got {threads!r}"
         )
-    jobs = jobs or os.cpu_count() or 1
+    if not cap:
+        if hasattr(os, "sched_getaffinity"):
+            cap = len(os.sched_getaffinity(0))
+        else:
+            cap = os.cpu_count() or 1
+    return min(cap, max(1, solves // _SOLVES_PER_WORKER))
+
+
+def _cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise PreconditionViolated("--trials must be at least 1")
     gp = gr.make_group(args.p, args.r, args.tau)
     catalog = sg.enumerate_catalog(gp)
     tasks = [
@@ -160,17 +178,19 @@ def _cmd_sweep(args) -> int:
          args.trials, args.seed, idx)
         for idx, d in enumerate(catalog)
     ]
+    jobs = _sweep_jobs(len(tasks) * args.trials)
     if jobs == 1:
         results = [_sweep_worker(t) for t in tasks]
     else:
         # imported here so that processes which never fan out (solve,
-        # verify-catalog, one-worker sweeps, library use) skip loading it
+        # verify-catalog, sweeps below the threshold, library use) skip loading it
         from concurrent.futures import ProcessPoolExecutor
 
         # seeds derive from (base seed, catalog index, trial), so scheduling
-        # cannot change the output
+        # cannot change the output; four chunks per worker, as multiprocessing.Pool
+        chunksize = -(-len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(_sweep_worker, tasks, chunksize=chunksize))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["subgroup", "success_rate", "first_try_rate", "mean_queries", "mean_iterations"]

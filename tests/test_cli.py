@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,98 @@ def test_sweep_is_deterministic_and_parallel_agrees(capsys, monkeypatch):
     monkeypatch.setenv("HSP_SDP_THREADS", "4")
     out2 = run_cli(capsys, argv)[1]
     assert out1 == out2
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_sweep_fanned_out_matches_one_worker(capsys, monkeypatch, threads):
+    import concurrent.futures
+
+    argv = ["sweep", "--p", "3", "--r", "5", "--tau", "3", "--trials", "1", "--seed", "5"]
+    monkeypatch.setenv("HSP_SDP_THREADS", "1")
+    code1, out1, _ = run_cli(capsys, argv)
+
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    # one solve per worker forces the pool at 62 solves; forked workers inherit it
+    monkeypatch.setattr(cli, "_SOLVES_PER_WORKER", 1)
+    monkeypatch.setenv("HSP_SDP_THREADS", threads)
+    code2, out2, _ = run_cli(capsys, argv)
+    assert pools == [int(threads)]
+    assert (code1, code2) == (0, 0)
+    assert out1 == out2
+
+
+def test_sweep_below_threshold_starts_no_pool(capsys, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 124-solve sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("HSP_SDP_THREADS", "4")
+    argv = ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", "2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 62
+
+
+NO_POOL_SCRIPT = """
+import contextlib, io, sys
+from hsp_sdp import cli
+argv = ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+assert "concurrent.futures" not in sys.modules, "a one-process sweep loaded the pool"
+"""
+
+
+def test_sweep_below_threshold_does_not_import_the_pool():
+    # a fresh interpreter: the test session may have loaded concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_POOL_SCRIPT],
+        env={**os.environ, "HSP_SDP_THREADS": "4"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, solves, jobs",
+    [
+        (None, 4, 99, 1),        # the floor: below one worker's share
+        (None, 4, 0, 1),
+        (None, 4, 250, 2),       # one worker per 100 solves
+        (None, 4, 10_000, 4),    # capped at the CPUs this process may use
+        ("0", 2, 10_000, 2),     # 0 means unset
+        ("3", 2, 10_000, 3),     # HSP_SDP_THREADS caps, over the affinity
+        ("8", 2, 450, 4),
+        ("1", 4, 10_000, 1),
+    ],
+)
+def test_sweep_workers_follow_the_work(monkeypatch, threads, cpus, solves, jobs):
+    monkeypatch.setattr(cli, "_SOLVES_PER_WORKER", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    if threads is None:
+        monkeypatch.delenv("HSP_SDP_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HSP_SDP_THREADS", threads)
+    assert cli._sweep_jobs(solves) == jobs
+
+
+def test_sweep_workers_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli, "_SOLVES_PER_WORKER", 100)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("HSP_SDP_THREADS", raising=False)
+    assert cli._sweep_jobs(10_000) == 3
+    assert cli._sweep_jobs(150) == 1
 
 
 def test_sweep_row_reads_zero_success_on_exhausted_retries(capsys, monkeypatch):
