@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from . import composite as cx
 from . import group as gr
 from . import oracle as orc
 from . import solver
@@ -88,6 +87,8 @@ def _cmd_solve(args) -> int:
             )
         if args.strategy != "auto":
             raise PreconditionViolated("composite mode chooses its own per-factor strategies")
+        from . import composite as cx  # only composite mode loads it
+
         cp = cx.make_composite(args.N, args.p, args.alpha)
         dec = cx.decompose(cp)
         gens = _parse_generators(args.generators, dec.parent.x_mod, dec.parent.y_mod)

@@ -9,7 +9,7 @@ The p-part is solved on a FactorOracle, whose head is the parent's (d, s, a_1)
 reduced to (d_p, s, a_1 mod d_p), d_p = gcd(d, p^r).
 
 Valid twists: 1 + tau * p^(r-2) on the p-part, 1 on each q-part (p^2 per N).
-The order guard runs before N is factorized by (slow) trial division.
+The order guard runs before N is factorized.
 """
 
 from __future__ import annotations

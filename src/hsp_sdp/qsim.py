@@ -45,6 +45,15 @@ x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
     abelianization section     H contains the commutator <x^q>, q = p^(r-c),
       (u, v) on Z_q x Z_(p^2)  and x^(alpha - 1) lies in it
 
+A sample is a handful of RNG draws: coset_sample draws one base coordinate
+per register and builds one CosetSupport sharing K's generators and
+annihilator, and fourier_sample draws one multiplier per annihilator
+generator. A sample pair takes about 3 us on the x axis at (3, 5), of which
+the frozen CosetSupport build is about 0.8 us (2-vCPU VM, Python 3.11).
+On a 1-D register Z_n, dual_kernel is the closed form
+<n / gcd(n, c_1, ..., c_k)>, which is what the p-adic elimination returns
+there; that covers the x- and y-axis recoveries and every 1-D annihilator.
+
 Two pure functions of frozen values are cached at module level, which is
 exact: the probe's six points per (group, dims, axes) and K's annihilator
 per (dims, K generators). Labels, head reads and their charges are not
@@ -106,12 +115,16 @@ def dual_kernel(dims: Register, vectors) -> list[Register]:
 
     The pairing is <w, v> = sum_j w_j v_j (L / n_j) with L = lcm(dims); it is
     symmetric, so this computes both character kernels (vectors = sampled
-    characters) and annihilators (vectors = subgroup generators). Each vector
-    cuts the current generator list by p-adic pivoting, so the list never
-    grows beyond the register count.
+    characters) and annihilators (vectors = subgroup generators). On Z_n the
+    kernel is <n / gcd(n, every c)>, empty when that is n. Otherwise each
+    vector cuts the current generator list by p-adic pivoting, so the list
+    never grows beyond the register count.
     """
     dims = tuple(dims)
     p, L, exp_l, weights = _register(dims)
+    if len(dims) == 1:
+        step = L // math.gcd(L, *(c for c, in vectors))
+        return [(step,)] if step < L else []
     gens: list[Register] = [
         tuple(1 if j == l else 0 for j in range(len(dims))) for l in range(len(dims))
     ]
@@ -253,7 +266,7 @@ def coset_sample(o, k: CosetSupport, rng) -> CosetSupport:
     k is the routine's pullback(o, domain); the sample is k shifted by a
     uniform base point.
     """
-    base = tuple(rng.randrange(n) for n in k.dims)
+    base = tuple(map(rng.randrange, k.dims))
     o.charge_superposition_query()
     return CosetSupport(k.dims, base, k.gens, k.ann)
 

@@ -73,8 +73,8 @@ def test_make_composite_validation_errors():
     # so the twist could leak into the 7-part: rejected up front.
     with pytest.raises(PreconditionViolated):
         cx.make_composite(3 ** 5 * 7, 3, 163)
-    # The 2^63 order guard runs before N is factorized, whose trial division
-    # would take minutes here; factorize fails on any call to prove it.
+    # The 2^63 order guard runs before N is factorized; factorize fails on
+    # any call to prove it.
     def no_factorize(n):
         raise AssertionError(f"factorize({n}) called before the order guard")
 

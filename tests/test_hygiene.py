@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function and class is referenced somewhere, every error class is
-raised somewhere, the CLI commands run without loading numpy,
-and the module-level caches do not grow with oracles or seeds."""
+raised somewhere, the CLI commands run without loading numpy, the
+prime-power commands run without loading the composite module, and the
+module-level caches do not grow with oracles or seeds."""
 
 import ast
 import functools
@@ -147,6 +148,29 @@ def test_cli_commands_do_not_load_numpy():
     # a fresh interpreter: the test session itself has numpy loaded
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        env={**os.environ, "HSP_SDP_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+NO_COMPOSITE_SCRIPT = """
+import contextlib, io, sys
+from hsp_sdp import cli
+group = ["--p", "3", "--r", "5", "--tau", "1"]
+runs = [["sweep", *group, "--trials", "1"], ["enumerate", *group], ["verify-catalog", *group]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert "hsp_sdp.composite" not in sys.modules, "a prime-power command loaded composite"
+"""
+
+
+def test_prime_power_commands_do_not_load_composite():
+    # only `solve --N` needs the composite module; a fresh interpreter again
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_COMPOSITE_SCRIPT],
         env={**os.environ, "HSP_SDP_THREADS": "1"},
         capture_output=True,
         text=True,

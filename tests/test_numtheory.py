@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsp_sdp import group as gr
 from hsp_sdp import numtheory as nt
 from hsp_sdp.errors import NotInvertible
 
@@ -98,3 +99,66 @@ def test_factorize():
     n = 243 * 25 * 7
     f = nt.factorize(n)
     assert math.prod(p**e for p, e in f.items()) == n
+
+
+def smallest_prime_factors(bound: int) -> list[int]:
+    spf = list(range(bound))
+    for d in range(2, math.isqrt(bound - 1) + 1):
+        if spf[d] == d:
+            for m in range(d * d, bound, d):
+                if spf[m] == m:
+                    spf[m] = d
+    return spf
+
+
+def test_factorize_and_is_prime_match_trial_division_below_1e5():
+    spf = smallest_prime_factors(10**5)
+    for n in range(1, 10**5):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        got = nt.factorize(n)
+        assert got == want and list(got) == sorted(got), n
+        assert nt.is_prime(n) == (n > 1 and spf[n] == n), n
+
+
+def proth_prime_below(m: int, bound: int) -> int:
+    """The largest q = k 2^m + 1 < bound, k odd < 2^m, that Proth's theorem
+    certifies prime: a^((q-1)/2) == -1 (mod q) for some a."""
+    k = (bound - 2) >> m
+    k -= 1 - k % 2
+    while not any(pow(a, (k << m) >> 1, (k << m) + 1) == k << m for a in (3, 5, 7, 11)):
+        k -= 2
+    assert k < 2**m
+    return (k << m) + 1
+
+
+# the largest composite x modulus: N * 3^2 stays below the group order guard
+N_GUARD = gr.ORDER_GUARD // 9
+
+
+def test_factorize_semiprimes_and_prime_powers_near_the_order_guard():
+    q = proth_prime_below(27, N_GUARD // 243)
+    a = proth_prime_below(16, math.isqrt(N_GUARD))
+    b = proth_prime_below(16, a)
+    c = proth_prime_below(10, round(N_GUARD ** (1 / 3)))
+    d = proth_prime_below(27, N_GUARD // 101)
+    cases = [{3: 5, q: 1}, {a: 1, b: 1}, {a: 2}, {c: 3}, {101: 1, d: 1}, {5: 1, 7: 1, q: 1}]
+    cases += [{q: 1}, {d: 1}, {proth_prime_below(31, N_GUARD): 1}]
+    cases += [{p: int(math.log(N_GUARD, p))} for p in (3, 5, 7, 101, 1009)]
+    for want in cases:
+        n = math.prod(p**e for p, e in want.items())
+        assert N_GUARD // 2**12 < n < N_GUARD, want
+        got = nt.factorize(n)
+        assert got == want and list(got) == sorted(got), want
+        assert nt.is_prime(n) == (want == {n: 1})
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_small_base_sets():
+    # strong pseudoprimes to the bases 2..7 and to the first nine primes 2..23
+    assert not nt.is_prime(3215031751)
+    assert nt.factorize(3215031751) == {151: 1, 751: 1, 28351: 1}
+    assert not nt.is_prime(3825123056546413051)
+    assert nt.factorize(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}

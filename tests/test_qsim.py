@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -105,6 +106,21 @@ def test_dual_kernel_ignores_repeats_and_zeros(dims):
                        for v in vs)
             }
             assert register_span(dims, gens) == want
+
+
+@pytest.mark.parametrize("n", [3**k for k in range(1, 8)] + [5**k for k in range(1, 5)]
+                         + [7**k for k in range(1, 4)])
+def test_dual_kernel_one_register_closed_form_matches_brute_force(n):
+    rng = random.Random(n)
+    lists = [[], [(0,)], [(n,)], [(-1,)], [(n - 1,), (n - 1,)]]
+    for _ in range(12):  # zeros, repeats, values >= n and negative values
+        pool = [0, n, -n, n // 3 * 2, rng.randrange(-3 * n, 3 * n), rng.randrange(n)]
+        lists.append([(rng.choice(pool),) for _ in range(rng.randrange(1, 6))])
+    for vs in lists:
+        want = {(w,) for w in range(n) if all(w * c % n == 0 for (c,) in vs)}
+        gens = qsim.dual_kernel((n,), vs)
+        assert len(gens) <= 1 and all(0 < g < n and n % g == 0 for (g,) in gens), (vs, gens)
+        assert register_span((n,), gens) == want, vs
 
 
 # ---------------------------------------------------------------- coset_sample
@@ -456,6 +472,34 @@ def test_fourier_distribution_probability_independent_of_base():
 
 
 # ---------------------------------------------------------------- fourier_sample
+
+# SHA-256 of repr((base, character)) over 300 coset_sample -> fourier_sample
+# pairs, recorded with the sampler's original per-coordinate loops: a faster
+# sampler must draw the same RNG stream, or every seeded report moves.
+SAMPLER_STREAMS = [
+    ("x-axis", (243,), ((1, 0),), sg.sg1x(2), 30,
+     "9abca071c53933da50f5fcb3e2e0c689bbefd58445ddd2461ec774afe968f988"),
+    ("y-axis", (9,), ((0, 1),), sg.sg2(0, 1), 31,
+     "552a85991314b0ebcdecd7fa30775cb6fc10c5257137f7005d0b6e99a2740c9e"),
+    ("abelianization", (27, 9), ((1, 0), (0, 1)), sg.sg2(1, 1), 32,
+     "9aa61b030292526ac859b3a175625aa44eee40c0c85fe4d93f13cf7a0eeb6769"),
+]
+
+
+@pytest.mark.parametrize("name, dims, axes, descr, seed, digest", SAMPLER_STREAMS,
+                         ids=[case[0] for case in SAMPLER_STREAMS])
+def test_sampler_stream_is_pinned(name, dims, axes, descr, seed, digest):
+    o = orc.make_oracle(G351, descr)
+    k = qsim.pullback(o, qsim.Domain(dims, axes, name))
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for i in range(1, 301):
+        s = qsim.coset_sample(o, k, rng)
+        c = qsim.fourier_sample(s, rng)
+        assert o.meter.queries == i  # one superposed query per sample
+        h.update(repr((s.base, c)).encode())
+    assert h.hexdigest() == digest
+
 
 def test_fourier_sample_satisfies_linear_constraint():
     # H = <x^2 y^3>: outcomes satisfy 2*c1 + c2 == 0 mod 3
