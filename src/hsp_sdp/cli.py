@@ -47,8 +47,9 @@ def _cmd_enumerate(args) -> int:
     )
     for d in sg.enumerate_catalog(gp):
         row = sg.descriptor_to_json(d)
-        row["order"] = sg.subgroup_order(gp, d)
-        row["normal"] = sg.is_normal(gp, d)
+        x_step, y_step, _ = head = sg.descriptor_head(gp, d)
+        row["order"] = gp.order // (x_step * y_step)
+        row["normal"] = sg.head_is_normal(gp, head)
         print(_compact(row))
     return 0
 

@@ -142,7 +142,7 @@ class HidingOracle:
 
 
 def make_oracle(gp: gr.GroupParams, descriptor: sg.Descriptor) -> HidingOracle:
-    return HidingOracle(gp, sg._head(gp, sg.generators(gp, descriptor)))
+    return HidingOracle(gp, sg.descriptor_head(gp, descriptor))
 
 
 def make_oracle_from_generators(group: gr.SemidirectGroup, gens) -> HidingOracle:

@@ -268,7 +268,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         raise VerificationFailed(
             f"recovered generator {outside} is not in the hidden subgroup"
         )
-    d, s, _ = head = sg._head(gp, sg.generators(gp, recovered))
+    d, s, _ = head = sg.descriptor_head(gp, recovered)
     row = sg._rows(gp, head)
     m = nt.p_valuation(d, gp.p)[0]
     n = next(k for k in range(3) if gp.p**k % s == 0 and row(gp.p**k // s) == 0)

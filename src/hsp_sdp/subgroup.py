@@ -14,15 +14,26 @@ enumerating. It names each subgroup once, except that the p - 1 cyclic
 sg3(t, r-1) equal sg1m(t, r-1, 0); enumerate_catalog lists the table with
 sg3 at i < r - 1 only, in (form, i, j, t) order, and builds no tables.
 
-A subgroup's normal form is its head (d, s, a_1), read off the generators
-by _head in O(#gens * log p^2) group operations: the x-axis step d = p^k,
+A subgroup's normal form is its head (d, s, a_1): the x-axis step d = p^k,
 the y-step s = p^j (y_mod if the y-projection is trivial), and row 1
 (s, a_1) with a_1 = u*p^i in [0, d) for a unit u; two subgroups are equal
 iff their heads are. Row k is (k*s, a_k), a_k the x-part of (a_1, s)^k mod
 d, which _rows computes with one pow, so no solve builds a table.
-SubgroupTable materializes the head as one x-offset per y-value, for
-bitsets, element sets and the tests' reference. canonicalize reads the
-catalog descriptor off the head:
+descriptor_head reads a catalog descriptor's head in closed form:
+
+    sg1x(i)        (p^i, y_mod, 0)
+    sg1m(t, i, j)  (D, p^j, t*p^i mod D), D = p^min(r, i+2-j)
+    sg2(i, j)      (p^i, p^j, 0)
+    sg3(t, i)      (p^(i+1), 1, t*p^i)
+
+sg1m's x-step comes from the wrap (t*p^i, p^j)^(p^(2-j)) = (t*p^i * c, 0),
+with c = sum_{k < p^(2-j)} alpha^(k*p^j). As alpha = 1 mod p, lifting the
+exponent (p odd) gives c the p-valuation of p^(2-j), that is 2 - j, so
+H's x-axis part is <x^D> with D = gcd(t*p^i * c, p^r) = p^min(r, i+2-j).
+_head reads the head off any generating set in O(#gens * log p^2) group
+operations. SubgroupTable materializes the head as one x-offset per
+y-value, for bitsets, element sets and the tests' reference. canonicalize
+reads the catalog descriptor off the head:
 
     s == y_mod                   sg1x(k)
     a_1 == 0                     sg2(k, j) if k < r, else sg1m(1, r, j)
@@ -127,6 +138,21 @@ def generators(gp: gr.GroupParams, d: Descriptor) -> list[gr.Element]:
     if d.form == "sg2":
         return [(p**d.i, 0), (0, p**d.j)]
     return [(d.t * p**d.i % x_mod, 1), (p ** (d.i + 1) % x_mod, 0)]
+
+
+def descriptor_head(gp: gr.GroupParams, d: Descriptor) -> tuple[int, int, int]:
+    """The head (x-step, y-step, a_1) of a valid descriptor d, in closed form
+    (module docstring); equal to _head(gp, generators(gp, d))."""
+    validate_descriptor(gp, d)
+    p = gp.p
+    if d.form == "sg1x":
+        return p**d.i, gp.y_mod, 0
+    if d.form == "sg2":
+        return p**d.i, p**d.j, 0
+    if d.form == "sg3":
+        return p ** (d.i + 1), 1, d.t * p**d.i
+    x_step = p ** min(gp.r, d.i + 2 - d.j)
+    return x_step, p**d.j, d.t * p**d.i % x_step
 
 
 # ------------------------------------------------------------ normal form
@@ -280,7 +306,7 @@ def canonicalize(gp: gr.GroupParams, gens) -> Descriptor:
 
 def subgroup_order(gp: gr.GroupParams, d: Descriptor) -> int:
     """|H| = (x_mod/d) * (y_mod/s), read from the head."""
-    x_step, y_step, _ = _head(gp, generators(gp, d))
+    x_step, y_step, _ = descriptor_head(gp, d)
     return gp.order // (x_step * y_step)
 
 
@@ -295,6 +321,11 @@ def elements(gp: gr.GroupParams, d: Descriptor) -> SubgroupSet:
 
 
 def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
+    """Exact normality of catalog subgroup d, read from its head."""
+    return head_is_normal(gp, descriptor_head(gp, d))
+
+
+def head_is_normal(gp: gr.SemidirectGroup, head: tuple[int, int, int]) -> bool:
     """Exact normality from the head (d, s, a_1): H = <x^d, h>, h = (a_1, s).
 
     As G = <x, y>, H is normal iff x and y conjugate x^d and h into H. x fixes
@@ -303,7 +334,7 @@ def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
     So H is normal iff d | (alpha - 1)*a_1 and d | alpha^s - 1, where alpha^s
     may be read mod x_mod as d | x_mod.
     """
-    x_step, y_step, a_1 = _head(gp, generators(gp, d))
+    x_step, y_step, a_1 = head
     q = pow(gp.alpha, y_step, gp.x_mod)
     return (gp.alpha - 1) * a_1 % x_step == 0 and (q - 1) % x_step == 0
 
@@ -317,14 +348,16 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     """The set of commutators, enumerated directly.
 
     [g, h] = (a1*(1 - alpha^b2) + a2*(alpha^b1 - 1), 0), so the commutator
-    set is the pairwise sum of the two single-coordinate value sets.
+    set is the pairwise sum of the two single-coordinate value sets. As a1
+    and a2 run over all of Z_{x_mod}, the second set is the negatives of the
+    first, so one pass over the a values and alpha powers builds both.
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     x_mod = gp.x_mod
     apow = gr._alpha_pows(gp)
     left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
-    right = {a * (t - 1) % x_mod for a in range(x_mod) for t in apow}
+    right = {-u % x_mod for u in left}
     if len(left) * len(right) > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
     return frozenset(((u + v) % x_mod, 0) for u in left for v in right)
@@ -384,13 +417,23 @@ def _cyclic_mask(gp: gr.GroupParams, bits: int, cyclic_gens: list[int]) -> int:
     when the subgroup contains cyclic subgroup c. Bit i of the bitset is bit
     i % 8 of byte i // 8 of its little-endian bytes."""
     packed = bits.to_bytes((gp.order + 7) // 8, "little")
-    return sum(1 << c for c, i in enumerate(cyclic_gens) if packed[i >> 3] >> (i & 7) & 1)
+    mask = 0
+    for c, i in enumerate(cyclic_gens):
+        if packed[i >> 3] >> (i & 7) & 1:
+            mask |= 1 << c
+    return mask
 
 
-def _columns(gp: gr.SemidirectGroup, bits: int) -> list[tuple[int, int]]:
+def _column_mask(gp: gr.SemidirectGroup) -> int:
+    """Bit a*y_mod set for every a: column 0 of the whole group's bitset."""
+    return int(("0" * (gp.y_mod - 1) + "1") * gp.x_mod, 2)
+
+
+def _columns(gp: gr.SemidirectGroup, bits: int, col0: int | None = None) -> list[tuple[int, int]]:
     """The bitset split by b: (b, column) for every nonempty column, where the
-    column has bit a*y_mod set when (a, b) is in the bitset."""
-    col0 = int(("0" * (gp.y_mod - 1) + "1") * gp.x_mod, 2)
+    column has bit a*y_mod set when (a, b) is in the bitset. col0 is
+    _column_mask(gp), passed by callers that split many bitsets."""
+    col0 = col0 or _column_mask(gp)
     return [(b, col) for b in range(gp.y_mod) if (col := bits >> b & col0)]
 
 
@@ -409,7 +452,7 @@ def _right_coset(gp: gr.SemidirectGroup, columns: list[tuple[int, int]], k: gr.E
     return out & ((1 << order) - 1) | out >> order
 
 
-def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
+def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens, col0: int | None = None) -> int:
     """<A, gens> for the subgroup bitset A, as a union of right cosets A*k.
 
     Starting from the identity, each k reached by right-multiplying by a
@@ -420,7 +463,7 @@ def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
     """
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
-    columns = _columns(gp, bits)
+    columns = _columns(gp, bits, col0)
     join, frontier = bits, [gr.IDENTITY]
     while frontier:
         nxt = []
@@ -462,14 +505,17 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
     K already found contains A u B and has exactly that order, then
     AB <= <A, B> <= K with |AB| = |K|, so <A, B> = K and no closure is
-    needed. Any other incomparable pair is closed by right cosets of the
-    larger member (_coset_closure).
+    needed. The members of that order are scanned newest first: the one that
+    contains A u B is most often a recent join, and whether one exists does
+    not depend on the order of the scan. Any other incomparable pair is
+    closed by right cosets of the larger member (_coset_closure).
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     # in discovery order: bitsets, their popcounts and their masks
     found, orders, cyclic_gens = _cyclic_subgroups(gp)
     masks = [_cyclic_mask(gp, bits, cyclic_gens) for bits in found]
+    col0 = _column_mask(gp)
     gens_of = {bits: (divmod(i, gp.y_mod),) for bits, i in zip(found, cyclic_gens)}
     order_of = dict(zip(masks, orders))  # mask -> order
     by_order: dict[int, list[int]] = {}  # order -> masks
@@ -486,13 +532,13 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
             union = mask_a | mask_b
             meet_order = order_of.get(meet) or (bits_a & bits_b).bit_count()
             order = order_a * order_b // meet_order
-            for k in by_order.get(order, ()):
+            for k in reversed(by_order.get(order, ())):
                 if k & union == union:
                     break  # <A, B> = AB is already in the lattice
             else:
                 gens = gens_of[bits_a] + gens_of[bits_b]
                 big = bits_a if order_a >= order_b else bits_b
-                bits = _coset_closure(gp, big, gens)
+                bits = _coset_closure(gp, big, gens, col0)
                 if bits not in gens_of:
                     gens_of[bits] = gens
                     found.append(bits)

@@ -10,6 +10,7 @@ import pytest
 
 from hsp_sdp import cli
 from hsp_sdp import group as gr
+from hsp_sdp import oracle as orc
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import InvalidDescriptor, RetriesExhausted
@@ -60,6 +61,26 @@ def test_enumerate_builds_no_table(capsys, monkeypatch, tau):
     code, out, _ = run_cli(capsys, ["enumerate", "--p", "3", "--r", "5", "--tau", str(tau)])
     assert code == 0
     assert out == stored(f"enumerate_p3_r5_tau{tau}.txt")
+
+
+def test_catalog_heads_need_no_group_powers(capsys, monkeypatch):
+    # enumerate, is_normal, subgroup_order and make_oracle read a descriptor's
+    # head in closed form, never through _head's group powers
+    gp = gr.make_group(3, 5, 1)
+    catalog = sg.enumerate_catalog(gp)
+    want = [(sg.is_normal(gp, d), sg.subgroup_order(gp, d)) for d in catalog]
+
+    def refused(*args):
+        raise AssertionError("a catalog head was read through group powers")
+
+    monkeypatch.setattr(sg, "_head", refused)
+    monkeypatch.setattr(gr, "power", refused)
+    code, out, _ = run_cli(capsys, ["enumerate", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 0
+    assert out == stored("enumerate_p3_r5_tau1.txt")
+    assert [(sg.is_normal(gp, d), sg.subgroup_order(gp, d)) for d in catalog] == want
+    for d in catalog:
+        orc.make_oracle(gp, d)
 
 
 def test_enumerate_emits_catalog_as_json_lines(capsys):

@@ -67,6 +67,22 @@ def test_descriptor_validation():
         sg.generators(G351, sg.sg1m(4, 4, 0))  # l=1 there, t must be < 3
 
 
+@pytest.mark.parametrize(
+    "p,r,tau",
+    [(3, 3, 1), (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 5), (7, 5, 7), (3, 36, 1), (101, 5, 1)],
+)
+def test_descriptor_head_equals_the_head_of_the_generators(p, r, tau):
+    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    for d in sg.enumerate_catalog(gp):
+        assert sg.descriptor_head(gp, d) == sg._head(gp, sg.generators(gp, d)), d
+
+
+def test_descriptor_head_rejects_out_of_range_descriptors():
+    for d in (sg.sg1x(6), sg.sg1m(3, 0, 1), sg.sg1m(2, 5, 0), sg.sg2(5, 0), sg.sg3(3, 0)):
+        with pytest.raises(InvalidDescriptor):
+            sg.descriptor_head(G351, d)
+
+
 def _in_range_table(gp, form, i, t, j) -> bool:
     """The module docstring's range table, restated as a predicate."""
     p, r = gp.p, gp.r
@@ -486,6 +502,17 @@ def test_brute_force_commutator_matches():
     for gp in (G351, G353):
         want = sg.elements(gp, sg.commutator_subgroup(gp))
         assert sg.brute_force_commutator(gp) == want
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_brute_force_commutator_is_the_literal_commutator_set(tau):
+    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    group = list(itertools.product(range(gp.x_mod), range(gp.y_mod)))
+    literal = {
+        gr.mul(gp, gr.mul(gp, g, h), gr.mul(gp, gr.inv(gp, g), gr.inv(gp, h)))
+        for g in group for h in group
+    }
+    assert sg.brute_force_commutator(gp) == literal
 
 
 # ---------------------------------------------------------------- axis intersections
