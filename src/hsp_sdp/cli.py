@@ -47,9 +47,8 @@ def _cmd_enumerate(args) -> int:
     )
     for d in sg.enumerate_catalog(gp):
         row = sg.descriptor_to_json(d)
-        x_step, y_step, _ = head = sg.descriptor_head(gp, d)
-        row["order"] = gp.order // (x_step * y_step)
-        row["normal"] = sg.head_is_normal(gp, head)
+        row["order"] = sg.subgroup_order(gp, d)
+        row["normal"] = sg.is_normal(gp, d)
         print(_compact(row))
     return 0
 
@@ -230,7 +229,8 @@ def _cmd_verify_catalog(args) -> int:
     catalog = sg.enumerate_catalog(gp)
     # the lattice first: its guard raises TooLarge before the catalog bitsets are built
     lattice = set(sg.brute_force_lattice_bits(gp))
-    bits_of = {d: sg.table_for(gp, d).bitset() for d in catalog}
+    tables = {d: sg.table_for(gp, d) for d in catalog}
+    bits_of = {d: table.bitset() for d, table in tables.items()}
     by_bits: dict[int, list[sg.Descriptor]] = {}
     for d in catalog:
         by_bits.setdefault(bits_of[d], []).append(d)
@@ -252,6 +252,15 @@ def _cmd_verify_catalog(args) -> int:
     for _, bits in _by_elements(gp, duplicated):
         tags = " = ".join(_compact(sg.descriptor_to_json(d)) for d in by_bits[bits])
         print(f"catalog duplicate: {tags}")
+    # is_normal reads each head in closed form; the generators' tables
+    # (the group law) must give the same head
+    for d, table in tables.items():
+        a_1 = table.reps[1][1] if len(table.reps) > 1 else 0
+        head, closed = (table.x_step, table.y_step, a_1), sg.descriptor_head(gp, d)
+        if closed != head:
+            ok = False
+            tag = _compact(sg.descriptor_to_json(d))
+            print(f"closed-form head {_compact(closed)} is not the generators' {_compact(head)}: {tag}")
 
     try:
         derived = sg.commutator_subgroup(gp)

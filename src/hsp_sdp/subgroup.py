@@ -321,11 +321,6 @@ def elements(gp: gr.GroupParams, d: Descriptor) -> SubgroupSet:
 
 
 def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
-    """Exact normality of catalog subgroup d, read from its head."""
-    return head_is_normal(gp, descriptor_head(gp, d))
-
-
-def head_is_normal(gp: gr.SemidirectGroup, head: tuple[int, int, int]) -> bool:
     """Exact normality from the head (d, s, a_1): H = <x^d, h>, h = (a_1, s).
 
     As G = <x, y>, H is normal iff x and y conjugate x^d and h into H. x fixes
@@ -334,7 +329,7 @@ def head_is_normal(gp: gr.SemidirectGroup, head: tuple[int, int, int]) -> bool:
     So H is normal iff d | (alpha - 1)*a_1 and d | alpha^s - 1, where alpha^s
     may be read mod x_mod as d | x_mod.
     """
-    x_step, y_step, a_1 = head
+    x_step, y_step, a_1 = descriptor_head(gp, d)
     q = pow(gp.alpha, y_step, gp.x_mod)
     return (gp.alpha - 1) * a_1 % x_step == 0 and (q - 1) % x_step == 0
 
@@ -348,19 +343,19 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     """The set of commutators, enumerated directly.
 
     [g, h] = (a1*(1 - alpha^b2) + a2*(alpha^b1 - 1), 0), so the commutator
-    set is the pairwise sum of the two single-coordinate value sets. As a1
-    and a2 run over all of Z_{x_mod}, the second set is the negatives of the
-    first, so one pass over the a values and alpha powers builds both.
+    set is the pairwise sum of the two single-coordinate value sets
+    {a*(1 - alpha^b)} and {a*(alpha^b - 1)}. As a runs over all of Z_{x_mod},
+    the first set is closed under negation (a -> x_mod - a), so the two sets
+    are the same and one pass over the a values and alpha powers builds it.
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     x_mod = gp.x_mod
     apow = gr._alpha_pows(gp)
     left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
-    right = {-u % x_mod for u in left}
-    if len(left) * len(right) > MATERIALIZE_GUARD:
+    if len(left) ** 2 > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
-    return frozenset(((u + v) % x_mod, 0) for u in left for v in right)
+    return frozenset(((u + v) % x_mod, 0) for u in left for v in left)
 
 
 # ------------------------------------------------------------ brute force
@@ -417,23 +412,19 @@ def _cyclic_mask(gp: gr.GroupParams, bits: int, cyclic_gens: list[int]) -> int:
     when the subgroup contains cyclic subgroup c. Bit i of the bitset is bit
     i % 8 of byte i // 8 of its little-endian bytes."""
     packed = bits.to_bytes((gp.order + 7) // 8, "little")
-    mask = 0
-    for c, i in enumerate(cyclic_gens):
-        if packed[i >> 3] >> (i & 7) & 1:
-            mask |= 1 << c
-    return mask
+    return sum(1 << c for c, i in enumerate(cyclic_gens) if packed[i >> 3] >> (i & 7) & 1)
 
 
+@lru_cache(maxsize=None)
 def _column_mask(gp: gr.SemidirectGroup) -> int:
     """Bit a*y_mod set for every a: column 0 of the whole group's bitset."""
     return int(("0" * (gp.y_mod - 1) + "1") * gp.x_mod, 2)
 
 
-def _columns(gp: gr.SemidirectGroup, bits: int, col0: int | None = None) -> list[tuple[int, int]]:
+def _columns(gp: gr.SemidirectGroup, bits: int) -> list[tuple[int, int]]:
     """The bitset split by b: (b, column) for every nonempty column, where the
-    column has bit a*y_mod set when (a, b) is in the bitset. col0 is
-    _column_mask(gp), passed by callers that split many bitsets."""
-    col0 = col0 or _column_mask(gp)
+    column has bit a*y_mod set when (a, b) is in the bitset."""
+    col0 = _column_mask(gp)
     return [(b, col) for b in range(gp.y_mod) if (col := bits >> b & col0)]
 
 
@@ -452,7 +443,7 @@ def _right_coset(gp: gr.SemidirectGroup, columns: list[tuple[int, int]], k: gr.E
     return out & ((1 << order) - 1) | out >> order
 
 
-def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens, col0: int | None = None) -> int:
+def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
     """<A, gens> for the subgroup bitset A, as a union of right cosets A*k.
 
     Starting from the identity, each k reached by right-multiplying by a
@@ -463,7 +454,7 @@ def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens, col0: int | None = N
     """
     apow = gr._alpha_pows(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
-    columns = _columns(gp, bits, col0)
+    columns = _columns(gp, bits)
     join, frontier = bits, [gr.IDENTITY]
     while frontier:
         nxt = []
@@ -515,7 +506,6 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     # in discovery order: bitsets, their popcounts and their masks
     found, orders, cyclic_gens = _cyclic_subgroups(gp)
     masks = [_cyclic_mask(gp, bits, cyclic_gens) for bits in found]
-    col0 = _column_mask(gp)
     gens_of = {bits: (divmod(i, gp.y_mod),) for bits, i in zip(found, cyclic_gens)}
     order_of = dict(zip(masks, orders))  # mask -> order
     by_order: dict[int, list[int]] = {}  # order -> masks
@@ -538,7 +528,7 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
             else:
                 gens = gens_of[bits_a] + gens_of[bits_b]
                 big = bits_a if order_a >= order_b else bits_b
-                bits = _coset_closure(gp, big, gens, col0)
+                bits = _coset_closure(gp, big, gens)
                 if bits not in gens_of:
                     gens_of[bits] = gens
                     found.append(bits)

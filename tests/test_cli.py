@@ -574,6 +574,28 @@ def test_verify_catalog_fails_on_a_claim_that_is_not_normal(capsys, monkeypatch)
     assert lines[-1] == "verify-catalog: FAIL"
 
 
+def test_verify_catalog_fails_on_a_wrong_closed_form_head(capsys, monkeypatch):
+    # sg1m's x-step without its cap at x_mod: p^(i+2-j) in place of p^min(r, i+2-j)
+    full = sg.descriptor_head
+
+    def uncapped(gp, d):
+        x_step, y_step, a_1 = full(gp, d)
+        if d.form == "sg1m":
+            x_step = gp.p ** (d.i + 2 - d.j)
+        return x_step, y_step, a_1
+
+    monkeypatch.setattr(sg, "descriptor_head", uncapped)
+    code, out, _ = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "5", "--tau", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("closed-form head")] == [
+        f"closed-form head [{3 ** (i + 2 - j)},{3 ** j},{a_1}] is not the generators' "
+        f'[243,{3 ** j},{a_1}]: {{"form":"sg1m","t":{t},"i":{i},"j":{j}}}'
+        for i, j, t, a_1 in ((4, 0, 1, 81), (4, 0, 2, 162), (5, 0, 1, 0), (5, 1, 1, 0))
+    ]
+    assert lines[-1] == "verify-catalog: FAIL"
+
+
 def test_verify_catalog_small_r_exit_2(capsys):
     code, _, err = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "4", "--tau", "1"])
     assert code == 2
