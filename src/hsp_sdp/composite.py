@@ -120,9 +120,6 @@ class FactorOracle(orc.HidingOracle):
     def _label(self, g: gr.Element):
         return self._parent._label((g[0] * self._unit % self._parent.group.x_mod, g[1]))
 
-    def _label_array(self, a, b):
-        return self._parent._label_array(a * self._unit % self._parent.group.x_mod, b)
-
     def _sim_table(self):
         """The p-part head of the module docstring: H splits along the coprime
         factors, so (a * unit, b) lies in row (b, a_b) iff a == a_b mod d_p."""

@@ -26,10 +26,6 @@ class Overflow(HspError):
     """Group order would exceed the documented 2**63 guard."""
 
 
-class AbelianGroup(HspError):
-    """Operation undefined for the degenerate abelian case (tau = 0)."""
-
-
 class InvalidDescriptor(HspError):
     """Subgroup descriptor fields out of range for the group."""
 

@@ -17,9 +17,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import numtheory as nt
-from .errors import (
-    AbelianGroup, InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall
-)
+from .errors import InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall
 
 Element = tuple[int, int]
 
@@ -150,10 +148,9 @@ def element_order(gp: SemidirectGroup, g: Element) -> int:
 
 
 def commutator_depth(gp: GroupParams) -> int:
-    """c with [G, G] = <x^(p^(r-c))>: 2 for class1, 1 for class2."""
-    if gp.class_tag == CLASS_ABELIAN:
-        raise AbelianGroup("tau = 0: the group is abelian, commutator is trivial")
-    return 2 if gp.class_tag == CLASS1 else 1
+    """c with [G, G] = <x^(p^(r-c))>: 2 for class1, 1 for class2, 0 for the
+    abelian class, whose commutator subgroup <x^(p^r)> is trivial."""
+    return 2 if gp.class_tag == CLASS1 else 1 if gp.class_tag == CLASS2 else 0
 
 
 def abelianization_map(gp: GroupParams, g: Element) -> tuple[int, int]:

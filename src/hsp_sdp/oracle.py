@@ -11,14 +11,13 @@ Accounting: every oracle owns one Meter, and every cost a report gives is a
 difference of two readings of it. query() and charge_superposition_query()
 count one query each. Simulator-side work, never visible to the algorithm
 being costed, counts as simulation evaluations instead: _sim_table() one per
-row of H for the head it hands to qsim, _sim_eval() one per label, and
-_sim_eval_array() one per element it labels. Membership checks go through
-first_outside(gens): one query for the identity, then one per element until
-the first one outside H. Las Vegas loops call meter.attempt(k) once per
-attempt.
+row of H for the head it hands to qsim or the reference scan, and
+_sim_eval() one per label. Membership checks go through first_outside(gens):
+one query for the identity, then one per element until the first one
+outside H. Las Vegas loops call meter.attempt(k) once per attempt.
 
-Scalar labels and queries work on Python ints at any group size; only the
-int64 array labelling of the reference scan has a size guard.
+Labels and queries work on Python ints at any group size; the int64 array
+labelling of the reference scan (reference.label_array) has its own guard.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from dataclasses import dataclass
 from . import group as gr
 from . import subgroup as sg
 from .errors import TooLarge
-
-ORACLE_GUARD = 2**24
 
 
 class Label:
@@ -85,7 +82,7 @@ class HidingOracle:
         self.group = group
         self.meter = Meter()
         self._apow = gr._alpha_pows(group)
-        # sealed: only the label functions and _sim_table read the head
+        # sealed: only _label and _sim_table read the head
         self._d, self._s, _ = self._head = head
         self._row = sg._rows(group, head)
 
@@ -93,22 +90,6 @@ class HidingOracle:
         a, b = g
         k, r0 = divmod(b, self._s)
         return Label((a - self._apow[r0] * self._row(k)) % self._d * self.group.y_mod + r0)
-
-    def _label_array(self, a, b):
-        """Packed labels of the elements (a[i], b[i]), equal to _label(g)._packed:
-        the same one-row formula with the row read per element. alpha^r0 * a_k
-        stays below x_mod * d <= x_mod^2 < 2^48 under ORACLE_GUARD, so int64
-        arithmetic is exact; larger groups raise TooLarge.
-        """
-        if self.group.order > ORACLE_GUARD:
-            raise TooLarge(f"group order {self.group.order} exceeds the 2^24 array guard")
-        import numpy as np  # only the reference scan labels arrays
-
-        k, r0 = np.divmod(b, self._s)
-        rows = [self._row(j) for j in range(self.group.y_mod // self._s)]
-        a_k = np.array(rows, dtype=np.int64)[k]
-        apow = np.array(self._apow, dtype=np.int64)[r0]
-        return (a - apow * a_k) % self._d * self.group.y_mod + r0
 
     def query(self, g: gr.Element) -> Label:
         self.meter.queries += 1
@@ -135,10 +116,6 @@ class HidingOracle:
     def _sim_eval(self, g: gr.Element) -> Label:
         self.meter.sim_evals += 1
         return self._label(g)
-
-    def _sim_eval_array(self, a, b):
-        self.meter.sim_evals += len(a)
-        return self._label_array(a, b)
 
 
 def make_oracle(gp: gr.GroupParams, descriptor: sg.Descriptor) -> HidingOracle:

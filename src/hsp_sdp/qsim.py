@@ -54,9 +54,9 @@ On a 1-D register Z_n, dual_kernel is the closed form
 <n / gcd(n, c_1, ..., c_k)>, which is what the p-adic elimination returns
 there; that covers the x- and y-axis recoveries and every 1-D annihilator.
 
-Two pure functions of frozen values are cached at module level, which is
-exact: the probe's six points per (group, dims, axes) and K's annihilator
-per (dims, K generators). Labels, head reads and their charges are not
+Three pure functions of frozen values are cached at module level, which is
+exact: the probe's six points per (group, dims, axes), K's annihilator per
+(dims, K generators) and the register constants per dims (_register). Labels, head reads and their charges are not
 cached, so every call still evaluates, meters and can raise.
 
 reference.level_set_scan labels every point and checks the coset structure

@@ -4,9 +4,10 @@ The solver samples cosets of K = embed^-1(H) read in closed form from the
 hidden table (`qsim.pullback`). This module keeps the independent
 references that closed form is checked against:
 
-    level_set_scan                labels every register point with the
-                                  oracle, reads K off the identity level set
-                                  and validates that the level sets are cosets
+    label_array                   the oracle's label rule on int64 arrays
+    level_set_scan                labels every register point with it, reads
+                                  K off the identity level set and validates
+                                  that the level sets are cosets
     fourier_distribution          exact outcome law of one coset state, by
                                   direct root-of-unity summation
     branch_mixture_distribution   exact mixture over every level set
@@ -16,9 +17,9 @@ references that closed form is checked against:
 
 The scan evaluates `Domain.embed` on int64 index arrays covering the whole
 register (C order). That is exact under its guards: u_j < 2^20 (COSET_GUARD)
-and dx_j is reduced below x_mod, and `HidingOracle._label_array` refuses
-groups above its 2^24 guard, so each term is below 2^44 and a sum of at most
-20 terms below 2^49.
+and dx_j is reduced below x_mod, and label_array refuses groups above
+LABEL_GUARD, so each term is below 2^44 and a sum of at most 20 terms below
+2^49.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import group as gr
+from . import subgroup as sg
 from .errors import PreconditionViolated, TooLarge
 from .qsim import CosetSupport, Domain, Register, dual_kernel
 
@@ -40,6 +43,8 @@ COSET_GUARD = 2**20
 DENSE_GUARD = 2**14
 #: below this domain size every level set is verified to be a coset in full
 FULL_VALIDATE_LIMIT = 4096
+#: group-order guard of label_array's int64 arithmetic
+LABEL_GUARD = 2**24
 
 
 class Scan(NamedTuple):
@@ -63,18 +68,39 @@ def _span_mask(dims: Register, coords, ann) -> np.ndarray:
     return mask
 
 
+def label_array(o, a, b) -> np.ndarray:
+    """Packed labels of the elements (a[i], b[i]) of o.group, by
+    HidingOracle._label's one-row rule on the head that o._sim_table() reads,
+    so charged as one head read. alpha^r0 * a_k stays below x_mod * d <=
+    x_mod^2 < 2^48 under LABEL_GUARD, so int64 arithmetic is exact; larger
+    groups raise TooLarge.
+    """
+    gp = o.group
+    if gp.order > LABEL_GUARD:
+        raise TooLarge(f"group order {gp.order} exceeds the 2^24 array guard")
+    d, s, _ = head = o._sim_table()
+    row = sg._rows(gp, head)
+    k, r0 = np.divmod(b, s)
+    a_k = np.array([row(j) for j in range(gp.y_mod // s)], dtype=np.int64)[k]
+    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)[r0]
+    return (a - apow * a_k) % d * gp.y_mod + r0
+
+
 def level_set_scan(o, domain: Domain) -> Scan:
     """Label every point of the domain and read K off the identity level set.
 
-    Charged as |domain| simulation evaluations. Raises PreconditionViolated
-    unless the identity level set is a register subgroup and every level set
-    has its size; below FULL_VALIDATE_LIMIT every level set must be a coset.
+    Charged as one head read (y_mod / s simulation evaluations), like
+    qsim.pullback; on a composite FactorOracle that is the p-part head, whose
+    labels split the factor group as the parent's do. Raises
+    PreconditionViolated unless the identity level set is a register subgroup
+    and every level set has its size; below FULL_VALIDATE_LIMIT every level
+    set must be a coset.
     """
     dims = domain.dims
     if math.prod(dims) > COSET_GUARD:
         raise TooLarge(f"domain size {math.prod(dims)} exceeds 2^20 guard")
     coords = np.unravel_index(np.arange(math.prod(dims)), dims)
-    labels = o._sim_eval_array(*domain.embed(o.group, coords))
+    labels = label_array(o, *domain.embed(o.group, coords))
     # K generators: repeatedly the first point of K, in sorted (= C) order,
     # outside the span of the generators so far.
     in_k = labels == labels[0]

@@ -335,7 +335,8 @@ def is_normal(gp: gr.GroupParams, d: Descriptor) -> bool:
 
 
 def commutator_subgroup(gp: gr.GroupParams) -> Descriptor:
-    """[G, G] = <x^(p^(r-2))> for class1, <x^(p^(r-1))> for class2."""
+    """[G, G] = <x^(p^(r-2))> for class1, <x^(p^(r-1))> for class2 and the
+    trivial <x^(p^r)> for the abelian class."""
     return sg1x(gp.r - gr.commutator_depth(gp))
 
 

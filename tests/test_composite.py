@@ -9,6 +9,7 @@ import pytest
 from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
+from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
@@ -119,18 +120,32 @@ def test_parent_group_is_isomorphic_to_factor_product():
 
 
 def test_factor_oracle_array_labels_match_scalar_labels():
-    cp = params()
-    dec = cx.decompose(cp)
-    o = orc.make_oracle_from_generators(dec.parent, [(2 * 730 % N, 3), (486, 0)])
-    fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
+    """The reference labels of a factor view, read from its p-part head,
+    split the factor group into the same classes as its scalar labels, which
+    go through the parent: every p-part catalog subgroup under both twists,
+    with the Z_5 slot trivial and full."""
     elems = list(itertools.product(range(243), range(9)))
     a = np.array([g[0] for g in elems], dtype=np.int64)
     b = np.array([g[1] for g in elems], dtype=np.int64)
-    want = [fo._label(g)._packed for g in elems]
-    assert fo._sim_eval_array(a, b).tolist() == want
-    assert fo.meter.sim_evals == len(elems)
-    assert o.meter.sim_evals == len(elems)
-    assert fo.meter.queries == o.meter.queries == 0
+    cases = 0
+    for alpha in (271, 811):
+        dec = cx.decompose(cx.make_composite(N, 3, alpha))
+        (slot,) = dec.abelian
+        for descr in sg.enumerate_catalog(dec.semidirect):
+            gens = sg.generators(dec.semidirect, descr)
+            lifted = [(x * dec.p_crt_unit % N, y) for x, y in gens]
+            for extra in ([], [(slot.crt_unit, 0)]):
+                o = orc.make_oracle_from_generators(dec.parent, lifted + extra)
+                fo = cx.FactorOracle(o, dec.semidirect, dec.p_crt_unit)
+                scalar = [fo._label(g)._packed for g in elems]
+                got = reference.label_array(fo, a, b).tolist()
+                pairs = set(zip(got, scalar))
+                assert len(pairs) == len(set(got)) == len(set(scalar)), (alpha, descr, extra)
+                _, s, _ = sg.descriptor_head(dec.semidirect, descr)
+                assert fo.meter.sim_evals == o.meter.sim_evals == 9 // s  # one head read
+                assert fo.meter.queries == o.meter.queries == 0
+                cases += 1
+    assert cases == 248
 
 
 # ------------------------------------------------------------------ solving

@@ -22,6 +22,7 @@ import pytest
 from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
+from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 
@@ -150,9 +151,8 @@ def test_golden_reports_label_no_register_arrays(monkeypatch):
     def refuse(*args):
         raise AssertionError("a solve labelled a register array")
 
-    for owner in (orc.HidingOracle, cx.FactorOracle):
-        monkeypatch.setattr(owner, "_label_array", refuse)
-    monkeypatch.setattr(orc.HidingOracle, "_sim_eval_array", refuse)
+    monkeypatch.setattr(reference, "label_array", refuse)
+    monkeypatch.setattr(reference, "level_set_scan", refuse)
     for entry in _load():
         assert json.dumps(_rerun(entry), sort_keys=True) == json.dumps(entry, sort_keys=True)
 

@@ -5,7 +5,6 @@ import pytest
 
 from hsp_sdp import group as gr
 from hsp_sdp.errors import (
-    AbelianGroup,
     InvalidPrime,
     NotInvertible,
     Overflow,
@@ -187,9 +186,11 @@ def test_abelianization_is_homomorphism():
             assert pi_prod == ((p1[0] + p2[0]) % q, (p1[1] + p2[1]) % 9)
 
 
-def test_abelianization_rejects_abelian_group():
-    with pytest.raises(AbelianGroup):
-        gr.abelianization_map(gr.make_group(3, 5, 0), (1, 0))
+def test_abelianization_is_identity_on_abelian_group():
+    gp = gr.make_group(3, 5, 0)  # [G, G] is trivial: G/[G,G] = G
+    assert gr.commutator_depth(gp) == 0
+    for g in ((1, 0), (0, 1), (242, 8), (29, 4)):
+        assert gr.abelianization_map(gp, g) == g
 
 
 # ---------------------------------------------------------------- generic semidirect

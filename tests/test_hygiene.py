@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function and class is referenced somewhere, every error class is
-raised somewhere, the CLI commands run without loading numpy, the
-prime-power commands run without loading the composite module, and the
-module-level caches do not grow with oracles or seeds."""
+raised somewhere, only the reference module imports numpy, the CLI commands
+run without loading numpy, the prime-power commands run without loading the
+composite module, and the module-level caches do not grow with oracles or
+seeds."""
 
 import ast
 import functools
@@ -124,6 +125,41 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(ast.parse(path.read_text())) for path in MODULES))
     assert declared - {"HspError"} - raised == set()
     assert raised_names(ast.parse("raise A\nraise B('x') from None\nraise\n")) == {"A", "B"}
+
+
+def numpy_imports(tree: ast.Module) -> list[int]:
+    """Lines of every `import numpy...` and `from numpy... import`, at any
+    depth, function bodies included."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_reference_module_imports_numpy():
+    found = {
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "reference.py"
+        for line in numpy_imports(ast.parse(path.read_text()))
+    }
+    assert found == set()
+
+
+def test_numpy_import_is_caught():
+    tree = ast.parse(
+        "import numpyish\nfrom . import numpy\n"
+        "def f():\n    import numpy as np\n    return np\n"
+        "from numpy.linalg import inv\nimport math, numpy.fft\n"
+    )
+    assert numpy_imports(tree) == [4, 6, 7]
 
 
 NO_NUMPY_SCRIPT = """
