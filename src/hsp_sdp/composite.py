@@ -38,8 +38,7 @@ class CompositeParams:
 @dataclass(frozen=True)
 class AbelianFactor:
     prime: int
-    exponent: int
-    modulus: int  # prime ** exponent
+    modulus: int  # the power of prime that exactly divides N
     crt_unit: int  # 1 mod modulus, 0 mod N / modulus
 
 
@@ -94,7 +93,7 @@ def decompose(cp: CompositeParams) -> FactorDecomposition:
         semidirect=gr.make_group(cp.p, r1, (cp.alpha % pr - 1) // cp.p ** (r1 - 2)),
         p_crt_unit=_crt_unit(cp.N, pr),
         abelian=tuple(
-            AbelianFactor(prime=q, exponent=e, modulus=q**e, crt_unit=_crt_unit(cp.N, q**e))
+            AbelianFactor(prime=q, modulus=q**e, crt_unit=_crt_unit(cp.N, q**e))
             for q, e in cp.factorization
             if q != cp.p
         ),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 from . import numtheory as nt
 from .errors import InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall
@@ -96,25 +95,25 @@ def make_group(p: int, r: int, tau: int, allow_unclassified: bool = False) -> Gr
     )
 
 
-@lru_cache(maxsize=None)
-def _alpha_pows(gp: SemidirectGroup) -> tuple[int, ...]:
-    """alpha^b mod x_mod for every b; alpha^y_mod == 1 keeps this a cycle."""
+def alpha_powers(gp: SemidirectGroup) -> list[int]:
+    """alpha^b mod x_mod for every b, built per call for loops that walk the
+    whole group; point operations use pow(alpha, b, x_mod)."""
     out = [1]
     for _ in range(gp.y_mod - 1):
         out.append(out[-1] * gp.alpha % gp.x_mod)
-    return tuple(out)
+    return out
 
 
 def mul(gp: SemidirectGroup, g1: Element, g2: Element) -> Element:
     a1, b1 = g1
     a2, b2 = g2
-    return ((a1 + a2 * _alpha_pows(gp)[b1]) % gp.x_mod, (b1 + b2) % gp.y_mod)
+    return ((a1 + a2 * pow(gp.alpha, b1, gp.x_mod)) % gp.x_mod, (b1 + b2) % gp.y_mod)
 
 
 def inv(gp: SemidirectGroup, g: Element) -> Element:
     a, b = g
-    apow = _alpha_pows(gp)
-    return (-a * apow[-b % gp.y_mod] % gp.x_mod, -b % gp.y_mod)
+    b = -b % gp.y_mod
+    return (-a * pow(gp.alpha, b, gp.x_mod) % gp.x_mod, b)
 
 
 def power(gp: SemidirectGroup, g: Element, k: int) -> Element:

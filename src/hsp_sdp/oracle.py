@@ -81,7 +81,6 @@ class HidingOracle:
     def __init__(self, group: gr.SemidirectGroup, head: tuple[int, int, int]):
         self.group = group
         self.meter = Meter()
-        self._apow = gr._alpha_pows(group)
         # sealed: only _label and _sim_table read the head
         self._d, self._s, _ = self._head = head
         self._row = sg._rows(group, head)
@@ -89,7 +88,8 @@ class HidingOracle:
     def _label(self, g: gr.Element) -> Label:
         a, b = g
         k, r0 = divmod(b, self._s)
-        return Label((a - self._apow[r0] * self._row(k)) % self._d * self.group.y_mod + r0)
+        gp = self.group
+        return Label((a - pow(gp.alpha, r0, gp.x_mod) * self._row(k)) % self._d * gp.y_mod + r0)
 
     def query(self, g: gr.Element) -> Label:
         self.meter.queries += 1

@@ -7,7 +7,7 @@ references that closed form is checked against:
     label_array                   the oracle's label rule on int64 arrays
     level_set_scan                labels every register point with it, reads
                                   K off the identity level set and validates
-                                  that the level sets are cosets
+                                  that every level set is a coset of K
     fourier_distribution          exact outcome law of one coset state, by
                                   direct root-of-unity summation
     branch_mixture_distribution   exact mixture over every level set
@@ -41,8 +41,6 @@ from .qsim import CosetSupport, Domain, Register, dual_kernel
 
 COSET_GUARD = 2**20
 DENSE_GUARD = 2**14
-#: below this domain size every level set is verified to be a coset in full
-FULL_VALIDATE_LIMIT = 4096
 #: group-order guard of label_array's int64 arithmetic
 LABEL_GUARD = 2**24
 
@@ -82,7 +80,7 @@ def label_array(o, a, b) -> np.ndarray:
     row = sg._rows(gp, head)
     k, r0 = np.divmod(b, s)
     a_k = np.array([row(j) for j in range(gp.y_mod // s)], dtype=np.int64)[k]
-    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)[r0]
+    apow = np.array(gr.alpha_powers(gp), dtype=np.int64)[r0]
     return (a - apow * a_k) % d * gp.y_mod + r0
 
 
@@ -93,8 +91,7 @@ def level_set_scan(o, domain: Domain) -> Scan:
     qsim.pullback; on a composite FactorOracle that is the p-part head, whose
     labels split the factor group as the parent's do. Raises
     PreconditionViolated unless the identity level set is a register subgroup
-    and every level set has its size; below FULL_VALIDATE_LIMIT every level
-    set must be a coset.
+    and every level set is a coset of it, at every size COSET_GUARD admits.
     """
     dims = domain.dims
     if math.prod(dims) > COSET_GUARD:
@@ -122,15 +119,14 @@ def level_set_scan(o, domain: Domain) -> Scan:
         raise PreconditionViolated(
             f"level sets of domain {domain.name!r} have unequal sizes"
         )
-    if labels.size <= FULL_VALIDATE_LIMIT:
-        # rows: the points of one level set, in C order. A row less its first
-        # point is |K| distinct points, so it equals K iff it lies in K.
-        rows = np.argsort(labels, kind="stable").reshape(-1, k_size)
-        shifted = [(c[rows] - c[rows[:, :1]]) % n for c, n in zip(coords, dims)]
-        if not np.all(span[np.ravel_multi_index(shifted, dims)]):
-            raise PreconditionViolated(
-                f"a level set of domain {domain.name!r} is not a coset of K"
-            )
+    # rows: the points of one level set, in C order. A row less its first
+    # point is |K| distinct points, so it equals K iff it lies in K.
+    rows = np.argsort(labels, kind="stable").reshape(-1, k_size)
+    shifted = [(c[rows] - c[rows[:, :1]]) % n for c, n in zip(coords, dims)]
+    if not np.all(span[np.ravel_multi_index(shifted, dims)]):
+        raise PreconditionViolated(
+            f"a level set of domain {domain.name!r} is not a coset of K"
+        )
     return Scan(labels=labels, k_gens=tuple(k_gens), ann=tuple(ann))
 
 

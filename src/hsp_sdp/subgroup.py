@@ -175,7 +175,7 @@ class SubgroupTable:
     def from_generators(cls, gp: gr.SemidirectGroup, gens) -> "SubgroupTable":
         """_head, then row k+1 = row k + alpha^(k*s) * a_1 mod d in b order."""
         d, s, a_1 = _head(gp, gens)
-        apow, reps, a = gr._alpha_pows(gp), [], 0
+        apow, reps, a = gr.alpha_powers(gp), [], 0
         for b in range(0, gp.y_mod, s):
             reps.append((b, a))
             a = (a + apow[b] * a_1) % d
@@ -351,8 +351,7 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
-    x_mod = gp.x_mod
-    apow = gr._alpha_pows(gp)
+    x_mod, apow = gp.x_mod, gr.alpha_powers(gp)  # once: an inner for is re-run per a
     left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
     if len(left) ** 2 > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
@@ -381,7 +380,7 @@ def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[in
     generates exactly one of the subgroups listed. The bitset of <g> is set
     bit by bit in a packed little-endian byte array, read by int.from_bytes.
     """
-    apow = gr._alpha_pows(gp)
+    apow = gr.alpha_powers(gp)
     x_mod, y_mod = gp.x_mod, gp.y_mod
     found, orders, gen_idx = [], [], []
     covered, nbytes = bytearray(gp.order), (gp.order + 7) // 8
@@ -436,11 +435,10 @@ def _right_coset(gp: gr.SemidirectGroup, columns: list[tuple[int, int]], k: gr.E
     alpha^b*a_k and moved to column b + b_k: a left shift, folded modulo |G|.
     """
     ak, bk = k
-    apow = gr._alpha_pows(gp)
-    x_mod, y_mod, order = gp.x_mod, gp.y_mod, gp.order
+    alpha, x_mod, y_mod, order = gp.alpha, gp.x_mod, gp.y_mod, gp.order
     out = 0
     for b, col in columns:
-        out |= col << (apow[b] * ak % x_mod * y_mod + (b + bk) % y_mod)
+        out |= col << (pow(alpha, b, x_mod) * ak % x_mod * y_mod + (b + bk) % y_mod)
     return out & ((1 << order) - 1) | out >> order
 
 
@@ -453,14 +451,13 @@ def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
     union ends closed under right multiplication by every generator, which
     makes it <A, gens>.
     """
-    apow = gr._alpha_pows(gp)
-    x_mod, y_mod = gp.x_mod, gp.y_mod
+    alpha, x_mod, y_mod = gp.alpha, gp.x_mod, gp.y_mod
     columns = _columns(gp, bits)
     join, frontier = bits, [gr.IDENTITY]
     while frontier:
         nxt = []
         for a1, b1 in frontier:
-            t = apow[b1]
+            t = pow(alpha, b1, x_mod)
             for a2, b2 in gens:
                 k = (a1 + a2 * t) % x_mod, (b1 + b2) % y_mod
                 if not join >> (k[0] * y_mod + k[1]) & 1:

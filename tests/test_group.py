@@ -149,6 +149,26 @@ def test_power_matches_iterated_mul_up_to_the_group_order(gp):
             assert gr.power(gp, g, -k) == gr.inv(gp, acc[k])
 
 
+@pytest.mark.parametrize(
+    "gp",
+    [gr.make_group(401, 5, 1), gr.make_group(101, 5, 1), gr.make_semidirect(1215, 3, 271)],
+    ids=["401-5-1", "101-5-1", "1215"],
+)
+def test_group_law_at_large_p_matches_the_literal_formula(gp):
+    # mul and inv take alpha^b from pow(); the per-call list must agree
+    apow = gr.alpha_powers(gp)
+    assert len(apow) == gp.y_mod
+    assert all(t == pow(gp.alpha, b, gp.x_mod) for b, t in enumerate(apow))
+    rng = random.Random(7)
+    for _ in range(2000):
+        (a1, b1), (a2, b2) = g1, g2 = [
+            (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod)) for _ in range(2)
+        ]
+        assert gr.mul(gp, g1, g2) == ((a1 + a2 * apow[b1]) % gp.x_mod, (b1 + b2) % gp.y_mod)
+        assert gr.inv(gp, g1) == (-a1 * apow[-b1 % gp.y_mod] % gp.x_mod, -b1 % gp.y_mod)
+        assert gr.mul(gp, g1, gr.inv(gp, g1)) == gr.IDENTITY
+
+
 def test_element_order():
     assert gr.element_order(G351, (1, 0)) == 243
     assert gr.element_order(G351, (0, 0)) == 1

@@ -72,7 +72,7 @@ def test_array_labels_hide_every_catalog_subgroup(tau):
     elems = list(itertools.product(range(gp.x_mod), range(gp.y_mod)))
     a = np.array([g[0] for g in elems], dtype=np.int64)
     b = np.array([g[1] for g in elems], dtype=np.int64)
-    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
+    apow = np.array(gr.alpha_powers(gp), dtype=np.int64)
     for descr in sg.enumerate_catalog(gp):
         labels = reference.label_array(orc.make_oracle(gp, descr), a, b)
         for ha, hb in sg.generators(gp, descr):

@@ -129,7 +129,8 @@ def test_solve_large_groups_without_catalog_tables(p, r):
 
 
 def test_solving_builds_no_table(monkeypatch):
-    # oracles, solves and composite solves read the head (d, s, a_1) only
+    # oracles, solves and composite solves read the head (d, s, a_1) only,
+    # and take alpha^b from pow() without walking the group
     picks = [(G351, d) for d in sg.enumerate_catalog(G351)]
     for p in (7, 101):
         gp = gr.make_group(p, 5, 1)
@@ -150,6 +151,7 @@ def test_solving_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(sg.SubgroupTable, "from_generators", no_table)
     monkeypatch.setattr(sg, "table_for", no_table)
+    monkeypatch.setattr(gr, "alpha_powers", no_table)
     for seed, (gp, d) in enumerate(picks):
         for o in (orc.make_oracle(gp, d),
                   orc.make_oracle_from_generators(gp, sg.generators(gp, d))):

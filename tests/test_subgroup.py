@@ -436,7 +436,7 @@ def test_is_normal_frozen_values():
 
 def _closed_under_conjugation(gp, elems):
     """g h g^-1 in elems for every g in G and h in elems, by numpy over all pairs."""
-    apow = np.array(gr._alpha_pows(gp), dtype=np.int64)
+    apow = np.array(gr.alpha_powers(gp), dtype=np.int64)
     x_mod, y_mod = gp.x_mod, gp.y_mod
 
     def mul(a1, b1, a2, b2):
