@@ -9,8 +9,10 @@ canonical shape, and every H falls into one of four descriptor families:
     sg3(t, i)      <x^(t*p^i) y, x^(p^(i+1))>       mixed leg plus an x-chain
 
 The catalog enumerator walks the valid parameter ranges once and yields each
-subgroup exactly once.  Canonical membership tests, orders, element lists,
-and normality all come from a small transversal table built per subgroup.
+subgroup exactly once.  Canonical membership tests, orders and element
+lists come from a small transversal table built per subgroup; normality is
+read in closed form from the subgroup's head (x-step, y-step, a_1), with no
+table at all.
 Everything here is cross-checked against a brute-force walk of the whole
 lattice (every subset closure at desk scale), so the catalog is exact, not
 heuristic.

@@ -7,10 +7,11 @@ Subcommands:
   verify-catalog  cross-check the catalog and its normality claims by brute force
 
 Exit codes: 0 success, 1 runtime failure (retries exhausted or verification
-failed), 2 configuration or usage error. A sweep takes one worker process
-per 128 solves (catalog size times --trials), so one under 256 solves runs in
-this process. HSP_SDP_THREADS caps the workers; unset or 0 means the CPUs this
-process may use. The output is identical either way.
+failed), 2 configuration or usage error (any other HspError; any other
+exception propagates). A sweep takes one worker process per 128 solves
+(catalog size times --trials), so one under 256 solves runs in this process.
+HSP_SDP_THREADS caps the workers; unset or 0 means the CPUs this process may
+use. The output is identical either way.
 """
 
 from __future__ import annotations
@@ -54,10 +55,17 @@ def _cmd_enumerate(args) -> int:
 
 # ---------------------------------------------------------------------- solve
 
+def _json_flag(text: str):
+    try:  # a JSONDecodeError, or a plain ValueError for an over-long integer
+        return json.loads(text)
+    except ValueError as exc:
+        raise PreconditionViolated(str(exc)) from None
+
+
 def _parse_generators(text: str, x_mod: int, y_mod: int) -> list[gr.Element]:
-    data = json.loads(text)
+    data = _json_flag(text)
     if not isinstance(data, list):
-        raise ValueError("generators must be a JSON list of [a, b] pairs")
+        raise PreconditionViolated("generators must be a JSON list of [a, b] pairs")
     gens = []
     for item in data:
         if not (
@@ -65,7 +73,7 @@ def _parse_generators(text: str, x_mod: int, y_mod: int) -> list[gr.Element]:
             and len(item) == 2
             and all(type(c) is int for c in item)
         ):
-            raise ValueError(f"bad generator {item!r}; expected [a, b]")
+            raise PreconditionViolated(f"bad generator {item!r}; expected [a, b]")
         gens.append((item[0] % x_mod, item[1] % y_mod))
     return gens
 
@@ -100,7 +108,7 @@ def _cmd_solve(args) -> int:
         raise PreconditionViolated("--r and --tau are required unless --N is given")
     gp = gr.make_group(args.p, args.r, args.tau)
     if args.subgroup is not None:
-        d = sg.descriptor_from_json(json.loads(args.subgroup))
+        d = sg.descriptor_from_json(_json_flag(args.subgroup))
         o = orc.make_oracle(gp, d)
     else:
         gens = _parse_generators(args.generators, gp.x_mod, gp.y_mod)
@@ -117,9 +125,7 @@ def _fmt(x: float) -> str:
 
 
 def _sweep_worker(task):
-    p, r, tau, descriptor_json, trials, base_seed, idx = task
-    gp = gr.make_group(p, r, tau)
-    d = sg.descriptor_from_json(json.loads(descriptor_json))
+    gp, d, trials, base_seed, idx = task
     successes = first = queries = iters = 0
     for trial in range(trials):
         seed = base_seed + 1_000_003 * idx + trial
@@ -133,7 +139,7 @@ def _sweep_worker(task):
         queries += rep.oracle_queries
         iters += rep.iterations
     row = [
-        descriptor_json,
+        _compact(sg.descriptor_to_json(d)),
         _fmt(successes / trials),
         _fmt(first / trials),
         _fmt(queries / successes if successes else float("nan")),
@@ -173,11 +179,7 @@ def _cmd_sweep(args) -> int:
         raise PreconditionViolated("--trials must be at least 1")
     gp = gr.make_group(args.p, args.r, args.tau)
     catalog = sg.enumerate_catalog(gp)
-    tasks = [
-        (args.p, args.r, args.tau, _compact(sg.descriptor_to_json(d)),
-         args.trials, args.seed, idx)
-        for idx, d in enumerate(catalog)
-    ]
+    tasks = [(gp, d, args.trials, args.seed, idx) for idx, d in enumerate(catalog)]
     jobs = _sweep_jobs(len(tasks) * args.trials)
     if jobs == 1:
         results = [_sweep_worker(t) for t in tasks]
@@ -352,12 +354,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RetriesExhausted, VerificationFailed) as exc:
+    except HspError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (HspError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (RetriesExhausted, VerificationFailed)) else 2
 
 
 if __name__ == "__main__":

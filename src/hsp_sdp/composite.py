@@ -58,14 +58,15 @@ def _crt_unit(N: int, q: int) -> int:
 def make_composite(N: int, p: int, alpha: int) -> CompositeParams:
     """Validate a composite instance N = p^r * (coprime part), r > 4.
 
-    Requires p odd prime; `gr.make_semidirect` then makes the order guard
-    and the twist checks, and only then is N factorized, to require p not
-    dividing q - 1 for any other prime q of N (so alpha is 1 off the p-part).
+    Requires p odd prime and p^5 dividing N; `gr.make_semidirect` then makes
+    the order guard and the twist checks, and only then is N factorized, to
+    require p not dividing q - 1 for any other prime q of N (so alpha is 1
+    off the p-part).
     """
     if not nt.is_prime(p) or p == 2:
         raise InvalidPrime(f"p = {p} must be an odd prime")
-    r1, _ = nt.p_valuation(N, p)
-    if r1 <= 4:
+    if N % p**5:  # r <= 4, so the valuation below takes at most four divisions
+        r1, _ = nt.p_valuation(N, p)
         raise RTooSmall(f"the p-part of N must be p^r with r > 4, got r = {r1}")
     alpha = gr.make_semidirect(N, p, alpha).alpha
     factors = nt.factorize(N)

@@ -86,6 +86,9 @@ def make_group(p: int, r: int, tau: int, allow_unclassified: bool = False) -> Gr
             f"r={r} is below the classified range (r > 4); "
             "pass allow_unclassified=True for brute-force experiments"
         )
+    # |G| = p^(r+2) >= 2^((r+2)(bits-1)): refuse before building p^r
+    if (r + 2) * (p.bit_length() - 1) >= ORDER_GUARD.bit_length() - 1:
+        raise Overflow("group order must stay below 2**63")
     tau %= p * p
     base = make_semidirect(p**r, p, tau * p ** (r - 2) + 1)
     g = math.gcd(tau, p * p)

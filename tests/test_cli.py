@@ -275,6 +275,35 @@ def test_solve_rejects_boolean_generator_exit_2(capsys):
     assert "bad generator" in err
 
 
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [
+        ("--subgroup", "{form: sg1x}", "Expecting property name"),
+        ("--generators", "[[3,0]", "Expecting ',' delimiter"),
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        ("--generators", "[[1" + "0" * 5000 + ",0]]", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["subgroup-not-json", "generators-not-json", "generator-of-5001-digits"],
+)
+def test_solve_unreadable_json_flag_exit_2(capsys, flag, text, message):
+    argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", flag, text]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_solve_internal_value_error_propagates(capsys, monkeypatch):
+    # exit 2 is a typed HspError; a bare ValueError is a bug, not a usage error
+    def broken(o, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(solver, "solve", broken)
+    argv = ["solve", "--p", "3", "--r", "5", "--tau", "1", "--generators", "[[3,0]]"]
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(argv)
+
+
 def test_solve_composite(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -441,6 +470,21 @@ def test_sweep_row_reads_zero_success_on_exhausted_retries(capsys, monkeypatch):
     assert len(rows) == 1 + 62
     assert rows[5][1:] == ["0", "0", "nan", "nan"]
     assert all(row[1] == "1" for i, row in enumerate(rows[1:], 1) if i != 5)
+
+
+def test_sweep_worker_uses_the_group_and_descriptor_it_is_given(monkeypatch):
+    # the task carries the built group and descriptor: nothing is rebuilt or parsed
+    gp = gr.make_group(3, 5, 1)
+    tasks = [(gp, d, 2, 7, idx) for idx, d in enumerate(sg.enumerate_catalog(gp))]
+    want = [cli._sweep_worker(t) for t in tasks]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep worker rebuilt its input")
+
+    monkeypatch.setattr(gr, "make_group", refused)
+    monkeypatch.setattr(sg, "descriptor_from_json", refused)
+    assert [cli._sweep_worker(t) for t in tasks] == want
+    assert want[0][1][0] == '{"form":"sg1x","i":0}'
 
 
 def test_sweep_rejects_non_positive_trials_exit_2(capsys):

@@ -41,6 +41,16 @@ def test_make_composite_frozen_factorization():
     assert cp.factorization == ((3, 5), (5, 1))
 
 
+def test_make_composite_refuses_an_oversized_N_before_its_valuation(monkeypatch):
+    # the p-adic valuation of N = 3^60000 * 5 alone took over a second
+    def refused(*args):
+        raise AssertionError("make_composite took a valuation past the order guard")
+
+    monkeypatch.setattr(cx.nt, "p_valuation", refused)
+    with pytest.raises(Overflow):
+        cx.make_composite(3**60000 * 5, 3, 1)
+    assert cx.make_composite(N, 3, ALPHA).factorization == ((3, 5), (5, 1))
+
 def test_decompose_frozen_values():
     dec = cx.decompose(params())
     assert dec.semidirect.p == 3

@@ -52,6 +52,25 @@ def test_make_group_rejects_bad_params():
         gr.make_group(1000003, 9, 1)
 
 
+def test_make_group_refuses_an_oversized_order_before_building_it(monkeypatch):
+    # p^r would take seconds to build at r in the millions
+    def refused(*args):
+        raise AssertionError("make_group built p^r past the order guard")
+
+    monkeypatch.setattr(gr, "make_semidirect", refused)
+    with pytest.raises(Overflow, match="below 2\\*\\*63"):
+        gr.make_group(3, 3_000_000, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 509])
+def test_make_group_builds_up_to_the_order_guard(p):
+    # the early check refuses nothing that the exact guard would accept
+    r = max(r for r in range(64) if p ** (r + 2) < gr.ORDER_GUARD)
+    assert gr.make_group(p, r, 1).order == p ** (r + 2)
+    with pytest.raises(Overflow):
+        gr.make_group(p, r + 1, 1)
+
+
 def test_make_group_unclassified_flag():
     gp = gr.make_group(3, 4, 1, allow_unclassified=True)
     assert gp.unclassified

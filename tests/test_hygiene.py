@@ -2,8 +2,8 @@
 module-level function and class is referenced somewhere, every error class is
 raised somewhere, only the reference module imports numpy, the CLI commands
 run without loading numpy, the prime-power commands run without loading the
-composite module, and the module-level caches do not grow with oracles or
-seeds."""
+composite module, the process-wide caches are the listed ones, and they do
+not grow with oracles or seeds."""
 
 import ast
 import functools
@@ -212,6 +212,47 @@ def test_prime_power_commands_do_not_load_composite():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def process_caches(tree: ast.Module) -> list[str]:
+    """Functions decorated with lru_cache or functools.cache, in any spelling,
+    nested ones included: each keeps its entries for the life of the process."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_process_wide_caches_are_the_listed_six():
+    # a new cache must be added here on purpose, with a bound on its growth
+    found = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in process_caches(ast.parse(path.read_text()))
+    }
+    assert found == {
+        "qsim._register", "qsim._annihilator", "qsim._probe_points",
+        "subgroup.table_for", "subgroup._column_mask", "cli._build_parser",
+    }
+
+
+def test_process_cache_is_caught():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, cached_property, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@lru_cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n"
+        "class K:\n    @functools.cache\n    def d(self): pass\n"
+        "    @cached_property\n    def e(self): pass\n"
+        "def f():\n    @lru_cache(None)\n    def g(): pass\n"
+        "@staticmethod\ndef h(): pass\n"
+    )
+    assert sorted(process_caches(tree)) == ["a", "b", "c", "d", "g"]
 
 
 def test_module_caches_do_not_grow_with_oracles_or_seeds():
