@@ -6,6 +6,9 @@ Subcommands:
   sweep           batch-solve the whole catalog and print CSV statistics
   verify-catalog  cross-check the catalog and its normality claims by brute force
 
+enumerate takes any r >= 3; solve, sweep and verify-catalog need the paper's
+r > 4 and exit 2 below it.
+
 Exit codes: 0 success, 1 runtime failure (retries exhausted or verification
 failed), 2 configuration or usage error (any other HspError; any other
 exception propagates). A sweep takes one worker process per 128 solves
@@ -31,6 +34,7 @@ from .errors import (
     HspError,
     PreconditionViolated,
     RetriesExhausted,
+    RTooSmall,
     VerificationFailed,
 )
 
@@ -42,9 +46,7 @@ def _compact(obj) -> str:
 # ------------------------------------------------------------------ enumerate
 
 def _cmd_enumerate(args) -> int:
-    gp = gr.make_group(
-        args.p, args.r, args.tau, allow_unclassified=args.allow_unclassified
-    )
+    gp = gr.make_group(args.p, args.r, args.tau)
     for d in sg.enumerate_catalog(gp):
         row = sg.descriptor_to_json(d)
         row["order"] = sg.subgroup_order(gp, d)
@@ -208,8 +210,8 @@ def _cmd_sweep(args) -> int:
 
 def _normality_claims(catalog):
     """The catalog entries claimed to be normal and to contain the commutator
-    subgroup: shallow pure-x chains, the two small grids, and every mixed
-    form whose x depth stays at least two steps above the twist depth."""
+    subgroup at r > 4: shallow pure-x chains, the two small grids, and every
+    mixed form whose x depth stays at least two steps above the twist depth."""
     return [
         d for d in catalog
         if (d.form == "sg1x" and 1 <= d.i <= 3)
@@ -227,6 +229,8 @@ def _by_elements(gp, bitsets) -> list[tuple[frozenset, int]]:
 
 def _cmd_verify_catalog(args) -> int:
     gp = gr.make_group(args.p, args.r, args.tau)
+    if gp.r <= 4:
+        raise RTooSmall(f"the normality claims are stated for r > 4, got r = {gp.r}")
     catalog = sg.enumerate_catalog(gp)
     # the lattice first: its guard raises TooLarge before the catalog bitsets are built
     lattice = set(sg.brute_force_lattice_bits(gp))
@@ -313,10 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum_p = sub.add_parser("enumerate", help="list the subgroup catalog as JSON lines")
     _add_group_args(enum_p)
-    enum_p.add_argument(
-        "--allow-unclassified", action="store_true",
-        help="permit 3 <= r <= 4 (catalog only; the solver refuses these)",
-    )
     enum_p.set_defaults(func=_cmd_enumerate)
 
     solve_p = sub.add_parser("solve", help="recover one hidden subgroup, print a JSON report")

@@ -24,7 +24,7 @@ from . import numtheory as nt
 from . import oracle as orc
 from . import solver
 from . import subgroup as sg
-from .errors import InvalidPrime, PreconditionViolated, RTooSmall, VerificationFailed
+from .errors import InvalidPrime, PreconditionViolated, RTooSmall, VerificationFailed, shown
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def make_composite(N: int, p: int, alpha: int) -> CompositeParams:
     off the p-part).
     """
     if not nt.is_prime(p) or p == 2:
-        raise InvalidPrime(f"p = {p} must be an odd prime")
+        raise InvalidPrime(f"p = {shown(p)} must be an odd prime")
     if N % p**5:  # r <= 4, so the valuation below takes at most four divisions
         r1, _ = nt.p_valuation(N, p)
         raise RTooSmall(f"the p-part of N must be p^r with r > 4, got r = {r1}")

@@ -2,8 +2,19 @@
 
 Every guard in the public API raises one of these rather than a bare
 ValueError, so callers (and the CLI exit-code mapping) can tell configuration
-mistakes apart from algorithmic failures.
+mistakes apart from algorithmic failures. Messages show caller input through
+shown(), so an integer too long to print cannot turn a guard's error into a
+ValueError.
 """
+
+
+def shown(value, text=str) -> str:
+    """text(value) for an error message, or a stand-in when value holds an
+    integer past Python's int-to-str digit limit."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 class HspError(Exception):

@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import numtheory as nt
-from .errors import InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall
+from .errors import InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall, shown
 
 Element = tuple[int, int]
 
@@ -51,13 +51,14 @@ class GroupParams(SemidirectGroup):
     r: int
     tau: int
     class_tag: str
-    unclassified: bool
 
 
 def make_semidirect(x_mod: int, p: int, alpha: int) -> SemidirectGroup:
     """Generic constructor, with the one order guard and twist check."""
     if x_mod < 1 or p < 2:
-        raise PreconditionViolated(f"need x_mod >= 1 and p >= 2, got x_mod={x_mod}, p={p}")
+        raise PreconditionViolated(
+            f"need x_mod >= 1 and p >= 2, got x_mod={shown(x_mod)}, p={shown(p)}"
+        )
     if x_mod * p * p >= ORDER_GUARD:
         raise Overflow("group order must stay below 2**63")
     alpha %= x_mod
@@ -68,24 +69,18 @@ def make_semidirect(x_mod: int, p: int, alpha: int) -> SemidirectGroup:
     return SemidirectGroup(x_mod=x_mod, p=p, alpha=alpha, y_mod=p * p)
 
 
-def make_group(p: int, r: int, tau: int, allow_unclassified: bool = False) -> GroupParams:
-    """Build Z_{p^r} x| Z_{p^2} from (p, r, tau).
+def make_group(p: int, r: int, tau: int) -> GroupParams:
+    """Build Z_{p^r} x| Z_{p^2} from (p, r, tau), r >= 3.
 
     tau is reduced mod p^2. gcd(tau, p^2) decides the twist order: 1 -> full
     order p^2 ("class1"), p -> order p ("class2"), p^2 -> trivial
-    ("abelian"). The classified solver needs r > 4; 3 <= r <= 4 is allowed
-    only with allow_unclassified=True (brute-force experiments).
+    ("abelian"). The group, its catalog and oracles hold at every r >= 3;
+    the paper's bound r > 4 is checked by solver.solve and verify-catalog.
     """
     if not nt.is_prime(p) or p == 2:
-        raise InvalidPrime(f"p must be an odd prime, got {p}")
+        raise InvalidPrime(f"p must be an odd prime, got {shown(p)}")
     if r <= 2:
-        raise RTooSmall(f"r must be at least 3, got {r}")
-    unclassified = r <= 4
-    if unclassified and not allow_unclassified:
-        raise RTooSmall(
-            f"r={r} is below the classified range (r > 4); "
-            "pass allow_unclassified=True for brute-force experiments"
-        )
+        raise RTooSmall(f"r must be at least 3, got {shown(r)}")
     # |G| = p^(r+2) >= 2^((r+2)(bits-1)): refuse before building p^r
     if (r + 2) * (p.bit_length() - 1) >= ORDER_GUARD.bit_length() - 1:
         raise Overflow("group order must stay below 2**63")
@@ -93,9 +88,7 @@ def make_group(p: int, r: int, tau: int, allow_unclassified: bool = False) -> Gr
     base = make_semidirect(p**r, p, tau * p ** (r - 2) + 1)
     g = math.gcd(tau, p * p)
     class_tag = CLASS1 if g == 1 else CLASS2 if g == p else CLASS_ABELIAN
-    return GroupParams(
-        **asdict(base), r=r, tau=tau, class_tag=class_tag, unclassified=unclassified
-    )
+    return GroupParams(**asdict(base), r=r, tau=tau, class_tag=class_tag)
 
 
 def alpha_powers(gp: SemidirectGroup) -> list[int]:

@@ -212,14 +212,13 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
     The abelianization strategy is only applicable when the hidden subgroup
     contains the commutator subgroup, i.e. its measured x depth m satisfies
     m <= r - commutator depth; otherwise PreconditionViolated is raised.
-    All randomness flows from `seed`, so runs are reproducible.
+    All randomness flows from `seed`, so runs are reproducible. The paper's
+    algorithms need r > 4; below it PreconditionViolated is raised before
+    any query.
     """
     gp = o.group
-    if getattr(gp, "unclassified", False):
-        raise PreconditionViolated(
-            "classified solver requires r > 4; this group was built with "
-            "allow_unclassified"
-        )
+    if gp.r <= 4:
+        raise PreconditionViolated(f"the solver needs r > 4, got r = {gp.r}")
     choice = strategy.lower()
     if choice not in _STRATEGIES:
         raise PreconditionViolated(f"unknown strategy {strategy!r}")

@@ -49,7 +49,7 @@ from functools import lru_cache, reduce
 
 from . import group as gr
 from . import numtheory as nt
-from .errors import InvalidDescriptor, TooLarge
+from .errors import InvalidDescriptor, TooLarge, shown
 
 MATERIALIZE_GUARD = 2**24
 BRUTE_FORCE_GUARD = 2**20
@@ -93,17 +93,17 @@ def descriptor_to_json(d: Descriptor) -> dict:
 
 def descriptor_from_json(blob: dict) -> Descriptor:
     if not isinstance(blob, dict) or "form" not in blob or "i" not in blob:
-        raise InvalidDescriptor(f"malformed descriptor JSON: {blob!r}")
+        raise InvalidDescriptor(f"malformed descriptor JSON: {shown(blob, repr)}")
     form = blob["form"]
     allowed = {"sg1x": set(), "sg1m": {"t", "j"}, "sg2": {"j"}, "sg3": {"t"}}.get(form)
     if allowed is None:
-        raise InvalidDescriptor(f"unknown form {form!r}")
+        raise InvalidDescriptor(f"unknown form {shown(form, repr)}")
     extra = set(blob) - {"form", "i"} - allowed
     missing = allowed - set(blob)
     if extra or missing:
-        raise InvalidDescriptor(f"wrong fields for {form}: {blob!r}")
+        raise InvalidDescriptor(f"wrong fields for {form}: {shown(blob, repr)}")
     if any(type(blob[k]) is not int for k in {"i"} | allowed):
-        raise InvalidDescriptor(f"descriptor fields must be integers: {blob!r}")
+        raise InvalidDescriptor(f"descriptor fields must be integers: {shown(blob, repr)}")
     return Descriptor(form, blob["i"], t=blob.get("t"), j=blob.get("j"))
 
 
@@ -125,7 +125,7 @@ def validate_descriptor(gp: gr.GroupParams, d: Descriptor) -> None:
     else:
         ok = d.form == "sg3" and i in range(r) and j is None and _is_unit(t, p, p)
     if not ok:
-        raise InvalidDescriptor(f"{d} is out of range for p={gp.p}, r={gp.r}")
+        raise InvalidDescriptor(f"{shown(d)} is out of range for p={gp.p}, r={gp.r}")
 
 
 def generators(gp: gr.GroupParams, d: Descriptor) -> list[gr.Element]:
@@ -311,10 +311,10 @@ def subgroup_order(gp: gr.GroupParams, d: Descriptor) -> int:
 
 
 def elements(gp: gr.GroupParams, d: Descriptor) -> SubgroupSet:
-    table = table_for(gp, d)
-    if table.order > MATERIALIZE_GUARD:
-        raise TooLarge(f"subgroup order {table.order} exceeds 2^24 materialization guard")
-    return table.elements()
+    order = subgroup_order(gp, d)  # in closed form: a refused call builds no table
+    if order > MATERIALIZE_GUARD:
+        raise TooLarge(f"subgroup order {order} exceeds 2^24 materialization guard")
+    return table_for(gp, d).elements()
 
 
 # ------------------------------------------------------------ queries

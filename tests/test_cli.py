@@ -18,6 +18,7 @@ from hsp_sdp.errors import InvalidDescriptor, RetriesExhausted
 
 # Stdout pinned byte for byte. The plain runs were stored as, for example,
 #   python -m hsp_sdp.cli verify-catalog --p 3 --r 5 --tau 1 > verify_catalog_p3_r5_tau1.txt
+#   python -m hsp_sdp.cli sweep --p 3 --r 5 --tau 1 --trials 2 > sweep_p3_r5_tau1_trials2.csv
 # and the mismatch files as the stdout of the tests that read them.
 CLI_DATA = Path(__file__).parent / "data" / "cli"
 
@@ -105,12 +106,17 @@ def test_enumerate_handles_untwisted_group(capsys):
 
 def test_enumerate_invalid_params_exit_2(capsys):
     assert run_cli(capsys, ["enumerate", "--p", "4", "--r", "5", "--tau", "1"])[0] == 2
-    assert run_cli(capsys, ["enumerate", "--p", "3", "--r", "4", "--tau", "1"])[0] == 2
-    code, out, _ = run_cli(
-        capsys,
-        ["enumerate", "--p", "3", "--r", "4", "--tau", "1", "--allow-unclassified"],
-    )
-    assert code == 0 and out.strip()
+    assert run_cli(capsys, ["enumerate", "--p", "3", "--r", "2", "--tau", "1"])[0] == 2
+    argv = ["enumerate", "--p", "3", "--r", "4", "--tau", "1", "--allow-unclassified"]
+    assert run_cli(capsys, argv)[0] == 2  # no such flag: every r >= 3 enumerates
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_enumerate_below_the_solver_bound_reproduces_stored_stdout(capsys, r):
+    # the catalog holds at every r >= 3; only solving needs r > 4
+    code, out, err = run_cli(capsys, ["enumerate", "--p", "3", "--r", str(r), "--tau", "1"])
+    assert (code, err) == (0, "")
+    assert out == stored(f"enumerate_p3_r{r}_tau1.txt")
 
 
 # --------------------------------------------------------------------- solve
@@ -339,6 +345,7 @@ def test_sweep_full_catalog(capsys, monkeypatch):
         capsys, ["sweep", "--p", "3", "--r", "5", "--tau", "1", "--trials", "2"]
     )
     assert code == 0
+    assert out == stored("sweep_p3_r5_tau1_trials2.csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["subgroup", "success_rate", "first_try_rate", "mean_queries", "mean_iterations"]
     assert len(rows) == 1 + 62
@@ -643,6 +650,33 @@ def test_verify_catalog_fails_on_a_wrong_closed_form_head(capsys, monkeypatch):
 def test_verify_catalog_small_r_exit_2(capsys):
     code, _, err = run_cli(capsys, ["verify-catalog", "--p", "3", "--r", "4", "--tau", "1"])
     assert code == 2
+
+
+R4 = ["--p", "3", "--r", "4", "--tau", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, threads, message",
+    [
+        (["solve", *R4, "--subgroup", '{"form":"sg1x","i":1}'], "1", "the solver needs r > 4"),
+        (["sweep", *R4, "--trials", "1"], "1", "the solver needs r > 4"),
+        # 1,225 solves: two pool workers each fail at their first solve
+        (["sweep", *R4], "2", "the solver needs r > 4"),
+        (["verify-catalog", *R4], "1", "the normality claims are stated for r > 4"),
+    ],
+    ids=["solve", "sweep", "sweep-pool", "verify-catalog"],
+)
+def test_solver_commands_refuse_r_4_exit_2(capsys, monkeypatch, argv, threads, message):
+    monkeypatch.setenv("HSP_SDP_THREADS", threads)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, got r = 4\n"
+
+
+def test_verify_catalog_reports_a_bad_prime_before_small_r(capsys):
+    code, _, err = run_cli(capsys, ["verify-catalog", "--p", "9", "--r", "4", "--tau", "1"])
+    assert code == 2
+    assert err == "error: p must be an odd prime, got 9\n"
 
 
 # ------------------------------------------------------------------- plumbing

@@ -46,8 +46,6 @@ def test_make_group_rejects_bad_params():
         gr.make_group(9, 5, 1)
     with pytest.raises(RTooSmall):
         gr.make_group(3, 2, 1)
-    with pytest.raises(RTooSmall):
-        gr.make_group(3, 4, 1)  # needs the explicit opt-in flag
     with pytest.raises(Overflow):
         gr.make_group(1000003, 9, 1)
 
@@ -71,11 +69,11 @@ def test_make_group_builds_up_to_the_order_guard(p):
         gr.make_group(p, r + 1, 1)
 
 
-def test_make_group_unclassified_flag():
-    gp = gr.make_group(3, 4, 1, allow_unclassified=True)
-    assert gp.unclassified
+def test_make_group_accepts_r_3_and_4():
+    # the group holds below the paper's r > 4; solve and verify-catalog check it
+    gp = gr.make_group(3, 4, 1)
     assert gp.alpha == pow(3, 2, 81) * 1 + 1 == 10
-    assert not G351.unclassified
+    assert gr.make_group(3, 3, 1).alpha == 3 * 1 + 1 == 4
 
 
 def test_tau_reduced_modulo_p_squared():

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level function and class is referenced somewhere, every error class is
-raised somewhere, only the reference module imports numpy, the CLI commands
+raised somewhere, and raised even for input integers too long to print,
+only the reference module imports numpy, the CLI commands
 run without loading numpy, the prime-power commands run without loading the
 composite module, the process-wide caches are the listed ones, and they do
 not grow with oracles or seeds."""
@@ -14,11 +15,13 @@ import sys
 
 import pytest
 
+from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
+from hsp_sdp.errors import InvalidDescriptor, InvalidPrime, PreconditionViolated, RTooSmall
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hsp_sdp"
 MODULES = sorted(SRC.glob("*.py"))
@@ -125,6 +128,31 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(ast.parse(path.read_text())) for path in MODULES))
     assert declared - {"HspError"} - raised == set()
     assert raised_names(ast.parse("raise A\nraise B('x') from None\nraise\n")) == {"A", "B"}
+
+
+HUGE = 10**5000  # past the 4,300 digits that int-to-str conversion allows
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: gr.make_semidirect(-HUGE, 3, 1), PreconditionViolated),
+        (lambda: gr.make_semidirect(9, -HUGE, 1), PreconditionViolated),
+        (lambda: gr.make_group(2 * HUGE, 5, 1), InvalidPrime),
+        (lambda: gr.make_group(3, -HUGE, 1), RTooSmall),
+        (lambda: cx.make_composite(-(3**60000) * 5, 3, 1), PreconditionViolated),
+        (lambda: cx.make_composite(1215, 2 * HUGE, 1), InvalidPrime),
+        (lambda: sg.validate_descriptor(gr.make_group(3, 5, 1), sg.sg1x(HUGE)), InvalidDescriptor),
+        (lambda: sg.descriptor_from_json({"form": "sg1x", "i": HUGE, "t": 1}), InvalidDescriptor),
+    ],
+    ids=[
+        "semidirect-x_mod", "semidirect-p", "group-p", "group-r",
+        "composite-N", "composite-p", "validate_descriptor", "descriptor_from_json",
+    ],
+)
+def test_guards_raise_typed_errors_for_integers_too_long_to_print(call, error):
+    with pytest.raises(error, match="too long to print"):
+        call()
 
 
 def numpy_imports(tree: ast.Module) -> list[int]:

@@ -203,10 +203,18 @@ def test_solve_abelianization_rejected_when_inapplicable():
 
 
 def test_solve_rejects_unclassified_group():
-    gp = gr.make_group(3, 4, 1, allow_unclassified=True)
+    gp = gr.make_group(3, 4, 1)
     o = orc.make_oracle(gp, sg.sg1x(1))
     with pytest.raises(PreconditionViolated):
         solver.solve(o, seed=0)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_solve_refuses_r_below_5_before_any_query(r):
+    o = orc.make_oracle(gr.make_group(3, r, 1), sg.sg1x(1))
+    with pytest.raises(PreconditionViolated, match=f"the solver needs r > 4, got r = {r}$"):
+        solver.solve(o, seed=0)
+    assert o.meter == orc.Meter()
 
 
 def test_solve_rejects_unknown_strategy():

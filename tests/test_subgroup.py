@@ -18,7 +18,7 @@ G353 = gr.make_group(3, 5, 3)
 
 # groups on which the closed-form canonicalize is pinned to a table index
 INDEX_GROUPS = [
-    gr.make_group(p, r, tau, allow_unclassified=True)
+    gr.make_group(p, r, tau)
     for p, r, tau in [
         (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 0), (5, 6, 1), (5, 6, 5),
         (7, 5, 1), (7, 5, 7), (3, 12, 1), (11, 5, 1),
@@ -72,7 +72,7 @@ def test_descriptor_validation():
     [(3, 3, 1), (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 5), (7, 5, 7), (3, 36, 1), (101, 5, 1)],
 )
 def test_descriptor_head_equals_the_head_of_the_generators(p, r, tau):
-    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    gp = gr.make_group(p, r, tau)
     for d in sg.enumerate_catalog(gp):
         assert sg.descriptor_head(gp, d) == sg._head(gp, sg.generators(gp, d)), d
 
@@ -104,12 +104,10 @@ def _in_range_table(gp, form, i, t, j) -> bool:
 
 
 @pytest.mark.parametrize(
-    "p, r, tau, unclassified",
-    [(3, 5, 0, False), (3, 5, 1, False), (3, 5, 3, False), (5, 6, 1, False),
-     (3, 3, 1, True), (11, 5, 1, False)],
+    "p, r, tau", [(3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 1), (3, 3, 1), (11, 5, 1)]
 )
-def test_validate_descriptor_accepts_exactly_the_range_table(p, r, tau, unclassified):
-    gp = gr.make_group(p, r, tau, allow_unclassified=unclassified)
+def test_validate_descriptor_accepts_exactly_the_range_table(p, r, tau):
+    gp = gr.make_group(p, r, tau)
     ts = (None, -1, 0, 1, 2, p - 1, p, p + 1, p * p - 1, p * p, True)
     grid = itertools.product(
         ("sg1x", "sg1m", "sg2", "sg3", "sg4"), range(-1, r + 2), ts, (None, -1, 0, 1, 2)
@@ -159,6 +157,19 @@ def test_elements_too_large_guard():
     gp = gr.make_group(3, 14, 1)
     with pytest.raises(TooLarge):
         sg.elements(gp, sg.sg2(0, 0))  # whole group, 3^16 > 2^24
+
+
+@pytest.mark.parametrize("d", [sg.sg2(0, 0), sg.sg2(0, 1), sg.sg1m(1, 0, 0)])
+def test_elements_refuses_before_building_a_table(monkeypatch, d):
+    # the guard reads the closed-form order, so a refused call caches no table
+    def refused(*args):
+        raise AssertionError("elements built a table past its guard")
+
+    monkeypatch.setattr(sg, "table_for", refused)
+    monkeypatch.setattr(sg.SubgroupTable, "from_generators", refused)
+    gp = gr.make_group(401, 5, 1)
+    with pytest.raises(TooLarge, match=f"^subgroup order {sg.subgroup_order(gp, d)} exceeds"):
+        sg.elements(gp, d)
 
 
 # ---------------------------------------------------------------- catalog
@@ -280,7 +291,7 @@ def test_canonicalize_random_generating_sets():
     [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5), (3, 6, 1)],
 )
 def test_catalog_equals_brute_force_lattice_small(p, r, tau):
-    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    gp = gr.make_group(p, r, tau)
     lattice = sg.brute_force_lattice(gp)
     catalog_sets = {sg.elements(gp, d) for d in sg.enumerate_catalog(gp)}
     assert catalog_sets == set(lattice)
@@ -303,7 +314,7 @@ def test_bitset_elements_indexes_a_times_y_mod_plus_b():
 
 
 def test_brute_force_lattice_decodes_the_bitset_core():
-    gp = gr.make_group(3, 3, 1, allow_unclassified=True)
+    gp = gr.make_group(3, 3, 1)
     bits = sg.brute_force_lattice_bits(gp)
     lattice = sg.brute_force_lattice(gp)
     assert len(set(bits)) == len(bits) == len(lattice)
@@ -326,7 +337,7 @@ def _generating_set(gp, elems):
 @pytest.mark.parametrize("tau", [1, 3])
 def test_brute_force_lattice_against_definition(tau):
     # every cyclic subgroup, closure of every member and of every pair
-    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    gp = gr.make_group(3, 3, tau)
     lattice = sg.brute_force_lattice(gp)
     members = set(lattice)
     assert len(members) == len(lattice)
@@ -373,7 +384,7 @@ def test_brute_force_lattice_bits_keeps_its_discovery_order(p, r, tau):
 
 @pytest.mark.parametrize("p,r,tau", [(3, 5, 1), (5, 3, 1)])
 def test_right_coset_matches_elementwise_products(p, r, tau):
-    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    gp = gr.make_group(p, r, tau)
     rng = random.Random(13)
     for bits in sg.brute_force_lattice_bits(gp):
         members = sg.bitset_elements(bits, gp.y_mod)
@@ -386,7 +397,7 @@ def test_right_coset_matches_elementwise_products(p, r, tau):
 
 @pytest.mark.parametrize("p,r,tau", [(3, 5, 1), (3, 5, 3), (5, 3, 1)])
 def test_cyclic_subgroups_lists_each_cyclic_closure_once(p, r, tau):
-    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    gp = gr.make_group(p, r, tau)
     found, orders, gen_idx = sg._cyclic_subgroups(gp)
     listed = [sg.bitset_elements(bits, gp.y_mod) for bits in found]
     assert len(set(listed)) == len(listed)
@@ -414,7 +425,7 @@ def test_cyclic_mask_containment_equals_bitset_containment(tau):
 
 @pytest.mark.parametrize("tau", [1, 3])
 def test_coset_closure_matches_generator_closure(tau):
-    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    gp = gr.make_group(3, 3, tau)
     lattice = sg.brute_force_lattice_bits(gp)
     rng = random.Random(17)
     for bits in lattice:
@@ -477,7 +488,7 @@ def test_is_normal_matches_exhaustive_conjugation():
     ],
 )
 def test_order_and_normality_from_the_head_match_the_table(p, r, tau):
-    gp = gr.make_group(p, r, tau, allow_unclassified=True)
+    gp = gr.make_group(p, r, tau)
     conjugators = ((1, 0), (0, 1))
     for d in sg.enumerate_catalog(gp):
         table = sg.SubgroupTable.from_generators(gp, sg.generators(gp, d))
@@ -505,7 +516,7 @@ def test_brute_force_commutator_matches():
 
 @pytest.mark.parametrize("tau", [0, 1, 3])
 def test_brute_force_commutator_is_the_literal_commutator_set(tau):
-    gp = gr.make_group(3, 3, tau, allow_unclassified=True)
+    gp = gr.make_group(3, 3, tau)
     group = list(itertools.product(range(gp.x_mod), range(gp.y_mod)))
     literal = {
         gr.mul(gp, gr.mul(gp, g, h), gr.mul(gp, gr.inv(gp, g), gr.inv(gp, h)))
@@ -577,7 +588,7 @@ NORMAL_FORM_DIGESTS = {
 def _pinned_group(key):
     """(p, r, tau) names a prime-power group, (N, alpha) a parent over Z_9."""
     if len(key) == 3:
-        return gr.make_group(*key, allow_unclassified=True)
+        return gr.make_group(*key)
     return gr.make_semidirect(key[0], 3, key[1])
 
 
