@@ -32,7 +32,7 @@ from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 
 
-def solve_one(gp, d, seed=0, strategy="auto"):
+def solve_one(gp, d, seed=0, strategy="direct"):
     o = orc.make_oracle(gp, d)
     rep = solver.solve(o, strategy=strategy, seed=seed)
     match = "exact" if rep.recovered == d else "MISMATCH"

@@ -7,7 +7,9 @@ Subcommands:
   verify-catalog  cross-check the catalog and its normality claims by brute force
 
 enumerate takes any r >= 3; solve, sweep and verify-catalog need the paper's
-r > 4 and exit 2 below it.
+r > 4 and exit 2 below it. solve --strategy is direct (the default) or
+abelianization; composite mode refuses abelianization, as it picks its own
+per-factor strategies.
 
 Exit codes: 0 success, 1 runtime failure (retries exhausted or verification
 failed), 2 configuration or usage error (any other HspError; any other
@@ -94,7 +96,7 @@ def _cmd_solve(args) -> int:
             raise PreconditionViolated(
                 "descriptors index the prime-power catalog; composite mode takes --generators"
             )
-        if args.strategy != "auto":
+        if args.strategy == "abelianization":
             raise PreconditionViolated("composite mode chooses its own per-factor strategies")
         from . import composite as cx  # only composite mode loads it
 
@@ -325,9 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--alpha", type=int, help="twist unit mod N (composite mode)")
     solve_p.add_argument("--subgroup", help="hidden subgroup as a catalog descriptor JSON object")
     solve_p.add_argument("--generators", help="hidden subgroup as a JSON list of [a, b] generators")
-    solve_p.add_argument(
-        "--strategy", choices=["auto", "direct", "abelianization"], default="auto"
-    )
+    solve_p.add_argument("--strategy", choices=["direct", "abelianization"], default="direct")
     solve_p.add_argument("--seed", type=int, default=0)
     solve_p.set_defaults(func=_cmd_solve)
 

@@ -167,8 +167,11 @@ def solve_composite(cp: CompositeParams, o, seed: int = 0) -> CompositeSolveResu
     Each abelian slot is recovered by the abelian routine on its own CRT
     embedding; the p-part goes through the full semidirect solver on a
     factor view of the oracle. The combined generators are re-verified
-    against the parent oracle before reporting.
+    against the parent oracle before reporting. A `seed` that is not an int
+    raises PreconditionViolated before any query.
     """
+    if type(seed) is not int:
+        raise PreconditionViolated(f"seed must be an int, got {shown(seed, repr)}")
     dec = decompose(cp)
     rng = random.Random(seed)
     before = copy.copy(o.meter)

@@ -25,7 +25,7 @@ from . import group as gr
 from . import numtheory as nt
 from . import qsim
 from . import subgroup as sg
-from .errors import PreconditionViolated, RetriesExhausted, VerificationFailed
+from .errors import PreconditionViolated, RetriesExhausted, VerificationFailed, shown
 
 STRATEGY_DIRECT = "Direct"
 STRATEGY_ABELIANIZATION = "Abelianization"
@@ -202,36 +202,30 @@ class SolveReport:
         return {**asdict(self), "recovered": sg.descriptor_to_json(self.recovered)}
 
 
-_STRATEGIES = {"auto", "direct", "abelianization"}
-
-
-def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
+def solve(o, strategy: str = "direct", seed: int = 0) -> SolveReport:
     """Recover the hidden subgroup behind `o` and return a verified report.
 
-    strategy: "auto" (same as "direct"), "direct", or "abelianization".
-    The abelianization strategy is only applicable when the hidden subgroup
-    contains the commutator subgroup, i.e. its measured x depth m satisfies
-    m <= r - commutator depth; otherwise PreconditionViolated is raised.
-    All randomness flows from `seed`, so runs are reproducible. The paper's
-    algorithms need r > 4; below it PreconditionViolated is raised before
-    any query.
+    strategy: exactly "direct" or "abelianization". The abelianization
+    strategy needs H to contain the commutator subgroup, i.e. its measured
+    x depth m <= r - commutator depth, else PreconditionViolated is raised;
+    on the abelian class both strategies run the same direct-product section.
+    All randomness flows from `seed`, an int, so runs are reproducible. The
+    paper's algorithms need r > 4. A smaller r, another strategy or a
+    non-int seed raises PreconditionViolated before any query.
     """
     gp = o.group
     if gp.r <= 4:
         raise PreconditionViolated(f"the solver needs r > 4, got r = {gp.r}")
-    choice = strategy.lower()
-    if choice not in _STRATEGIES:
-        raise PreconditionViolated(f"unknown strategy {strategy!r}")
+    if strategy not in ("direct", "abelianization"):
+        raise PreconditionViolated(f"unknown strategy {shown(strategy, repr)}")
+    if type(seed) is not int:
+        raise PreconditionViolated(f"seed must be an int, got {shown(seed, repr)}")
 
     rng = random.Random(seed)
     before = copy.copy(o.meter)
 
     if gp.class_tag == gr.CLASS_ABELIAN:
-        if choice == "abelianization":
-            raise PreconditionViolated(
-                "abelianization strategy is undefined for an abelian group"
-            )
-        # x^0 is the identity: the whole group is the section, nothing to add
+        # G is its own abelianization, the whole group the section; x^0 adds nothing
         recovered = _section(o, gp.x_mod, 1, 0, rng, "abelian")
         strategy_used = STRATEGY_ABELIAN_ONLY
         branch = "abelian/direct-product"
@@ -240,7 +234,7 @@ def solve(o, strategy: str = "auto", seed: int = 0) -> SolveReport:
         m, n = measured = find_m_n(o, rng)
         cyc = classify_cyclicity(m, n, gp.r)
         branch = f"{gp.class_tag}/{cyc}/m={m}"
-        if choice == "abelianization":
+        if strategy == "abelianization":
             c = gr.commutator_depth(gp)
             if m > gp.r - c:
                 raise PreconditionViolated(

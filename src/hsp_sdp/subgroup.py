@@ -95,7 +95,8 @@ def descriptor_from_json(blob: dict) -> Descriptor:
     if not isinstance(blob, dict) or "form" not in blob or "i" not in blob:
         raise InvalidDescriptor(f"malformed descriptor JSON: {shown(blob, repr)}")
     form = blob["form"]
-    allowed = {"sg1x": set(), "sg1m": {"t", "j"}, "sg2": {"j"}, "sg3": {"t"}}.get(form)
+    fields = {"sg1x": set(), "sg1m": {"t", "j"}, "sg2": {"j"}, "sg3": {"t"}}
+    allowed = fields.get(form) if isinstance(form, str) else None  # JSON lists, dicts: unhashable
     if allowed is None:
         raise InvalidDescriptor(f"unknown form {shown(form, repr)}")
     extra = set(blob) - {"form", "i"} - allowed

@@ -229,6 +229,8 @@ def test_solve_non_integer_descriptor_field_exit_2(capsys):
         ({"form": "sg9", "i": 0}, "unknown form 'sg9'"),
         ({"form": "sg1x", "i": 0, "t": 1}, "wrong fields for sg1x"),
         ({"form": "sg1m", "i": 0, "t": 1}, "wrong fields for sg1m"),
+        ({"form": ["sg1x"], "i": 0}, "unknown form "),  # the message is a regex too
+        ({"form": {"sg1x": 1}, "i": 0}, "unknown form {'sg1x': 1}"),
     ],
 )
 def test_bad_descriptor_form_or_fields_exit_2(capsys, blob, message):
@@ -254,7 +256,7 @@ def test_bad_descriptor_form_or_fields_exit_2(capsys, blob, message):
         (["--N", "1215", "--p", "3", "--alpha", "271", "--subgroup", '{"form":"sg1x","i":1}'],
          "descriptors index the prime-power catalog"),
         (["--N", "1215", "--p", "3", "--alpha", "271", "--generators", "[[3,0]]",
-          "--strategy", "direct"],
+          "--strategy", "abelianization"],
          "composite mode chooses its own per-factor strategies"),
         (["--N", "1215", "--p", "3", "--alpha", "3", "--generators", "[[3,0]]"],
          "is not a unit mod 1215"),
@@ -266,6 +268,9 @@ def test_bad_descriptor_form_or_fields_exit_2(capsys, blob, message):
          "need x_mod >= 1"),
         (["--N", "-1215", "--p", "3", "--alpha", "271", "--generators", "[[3,0]]"],
          "need x_mod >= 1"),
+        (["--p", "3", "--r", "5", "--tau", "1", "--subgroup", '{"form":"sg1x","i":1}',
+          "--strategy", "auto"],
+         "argument --strategy: invalid choice: 'auto'"),
     ],
 )
 def test_solve_input_checks_exit_2(capsys, argv, message):
@@ -324,6 +329,13 @@ def test_solve_composite(capsys):
     assert rep["semidirect"]["recovered"] == {"form": "sg1m", "t": 1, "i": 0, "j": 0}
     assert rep["abelian"] == [{"prime": 5, "valuation": 1}]
     assert rep["verified"] is True
+
+
+def test_solve_composite_takes_strategy_direct_the_default(capsys):
+    argv = ["solve", "--N", "1215", "--p", "3", "--alpha", "271", "--generators", "[[730,1]]"]
+    plain = run_cli(capsys, argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, argv + ["--strategy", "direct"]) == plain
 
 
 def test_solve_composite_rejects_descriptor_input(capsys):

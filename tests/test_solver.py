@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 from importlib import resources
 
 import jsonschema
@@ -198,8 +199,15 @@ def test_solve_abelianization_rejected_when_inapplicable():
     # class1: commutator <x^27>; <x^81> = sg1x(4) does not contain it
     with pytest.raises(PreconditionViolated):
         solver.solve(orc.make_oracle(G351, sg.sg1x(4)), strategy="abelianization", seed=0)
-    with pytest.raises(PreconditionViolated):
-        solver.solve(orc.make_oracle(G350, sg.sg1x(1)), strategy="abelianization", seed=0)
+
+
+def test_abelian_class_strategies_give_the_same_report():
+    # the commutator subgroup is trivial, so every H contains it, and G is
+    # its own abelianization: both strategies run the direct-product section
+    for seed, d in enumerate(sg.enumerate_catalog(G350)):
+        direct = solver.solve(orc.make_oracle(G350, d), strategy="direct", seed=seed)
+        quotient = solver.solve(orc.make_oracle(G350, d), strategy="abelianization", seed=seed)
+        assert quotient.to_json() == direct.to_json()
 
 
 def test_solve_rejects_unclassified_group():
@@ -220,6 +228,32 @@ def test_solve_refuses_r_below_5_before_any_query(r):
 def test_solve_rejects_unknown_strategy():
     with pytest.raises(PreconditionViolated):
         solver.solve(orc.make_oracle(G351, sg.sg1x(1)), strategy="magic", seed=0)
+
+
+@pytest.mark.parametrize(
+    "strategy,shown",
+    [("auto", "'auto'"), ("Direct", "'Direct'"), ("DIRECT", "'DIRECT'"), (None, "None"),
+     (7, "7"), (["direct"], "['direct']"), (10**5000, "<int too long to print>")],
+    ids=["auto", "Direct", "DIRECT", "None", "int", "list", "int-of-5001-digits"],
+)
+def test_solve_refuses_any_other_strategy_before_any_query(strategy, shown):
+    o = orc.make_oracle(G351, sg.sg1x(1))
+    with pytest.raises(PreconditionViolated, match=re.escape(f"unknown strategy {shown}") + "$"):
+        solver.solve(o, strategy=strategy, seed=0)
+    assert o.meter == orc.Meter()
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1"], ids=["None", "bool", "float", "str"])
+def test_solve_and_solve_composite_refuse_a_seed_that_is_not_an_int(seed):
+    o = orc.make_oracle(G351, sg.sg1x(1))
+    with pytest.raises(PreconditionViolated, match="seed must be an int"):
+        solver.solve(o, seed=seed)
+    assert o.meter == orc.Meter()
+    cp = cx.make_composite(1215, 3, 271)
+    parent = orc.make_oracle_from_generators(cx.decompose(cp).parent, [(730, 1)])
+    with pytest.raises(PreconditionViolated, match="seed must be an int"):
+        cx.solve_composite(cp, parent, seed=seed)
+    assert parent.meter == orc.Meter()
 
 
 def test_solve_deterministic_given_seed():

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsp_sdp import group as gr
 from hsp_sdp import numtheory as nt
@@ -25,6 +27,20 @@ INDEX_GROUPS = [
         (3, 3, 1), (3, 3, 3), (3, 4, 1), (5, 3, 1), (13, 3, 1),
     ]
 ]
+
+# every group with p in {3, 5, 7}, r >= 3 and |G| = p^(r+2) <= 2^16, at every
+# tau mod p^2: 153 groups, 14,742 catalog entries
+SMALL_GRID = [
+    (p, r, tau)
+    for p in (3, 5, 7)
+    for r in range(3, 9) if p ** (r + 2) <= 2**16
+    for tau in range(p * p)
+]
+
+
+def with_grid(pins, grid=SMALL_GRID):
+    """The pinned (p, r, tau) cases, then the grid's cases not among them."""
+    return pins + [case for case in grid if case not in pins]
 
 
 def mulclose(gp, gens):
@@ -69,7 +85,9 @@ def test_descriptor_validation():
 
 @pytest.mark.parametrize(
     "p,r,tau",
-    [(3, 3, 1), (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 5), (7, 5, 7), (3, 36, 1), (101, 5, 1)],
+    with_grid(
+        [(3, 3, 1), (3, 5, 0), (3, 5, 1), (3, 5, 3), (5, 6, 5), (7, 5, 7), (3, 36, 1), (101, 5, 1)]
+    ),
 )
 def test_descriptor_head_equals_the_head_of_the_generators(p, r, tau):
     gp = gr.make_group(p, r, tau)
@@ -128,6 +146,29 @@ def test_descriptor_json_round_trip():
         assert sg.descriptor_from_json(json.loads(blob)) == d
     assert sg.descriptor_to_json(sg.sg1x(2)) == {"form": "sg1x", "i": 2}
     assert sg.descriptor_to_json(sg.sg3(2, 1)) == {"form": "sg3", "t": 2, "i": 1}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=5,
+)
+
+
+@given(
+    blob=JSON_VALUES | st.fixed_dictionaries(
+        # carrying form and i, a blob gets past the shape check to the form lookup
+        {"form": st.sampled_from(["sg1x", "sg1m", "sg2", "sg3"]) | JSON_VALUES, "i": JSON_VALUES},
+        optional={"t": JSON_VALUES, "j": JSON_VALUES},
+    )
+)
+@settings(max_examples=200)
+def test_descriptor_from_json_returns_a_descriptor_or_raises_invalid_descriptor(blob):
+    try:
+        d = sg.descriptor_from_json(blob)
+    except InvalidDescriptor:
+        return
+    assert isinstance(d, sg.Descriptor)
 
 
 # ---------------------------------------------------------------- elements
@@ -210,7 +251,7 @@ def test_catalog_dedup_prefers_low_form_rank():
 
 
 def test_canonicalize_round_trip_catalog():
-    for gp in (G351, G353):
+    for gp in (G351, G353, *(gr.make_group(*case) for case in SMALL_GRID)):
         for d in sg.enumerate_catalog(gp):
             assert sg.canonicalize(gp, sg.generators(gp, d)) == d
     for gp in INDEX_GROUPS:
@@ -288,7 +329,10 @@ def test_canonicalize_random_generating_sets():
 
 @pytest.mark.parametrize(
     "p,r,tau",
-    [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5), (3, 6, 1)],
+    with_grid(
+        [(3, 3, 1), (3, 3, 3), (3, 3, 0), (3, 4, 1), (5, 3, 0), (5, 3, 1), (5, 3, 5), (3, 6, 1)],
+        [(p, r, tau) for p, r, tau in SMALL_GRID if tau in (0, 1, p)],
+    ),
 )
 def test_catalog_equals_brute_force_lattice_small(p, r, tau):
     gp = gr.make_group(p, r, tau)
@@ -482,10 +526,10 @@ def test_is_normal_matches_exhaustive_conjugation():
 
 @pytest.mark.parametrize(
     "p,r,tau",
-    [
+    with_grid([
         (3, 5, 3), (5, 6, 1), (7, 5, 7), (3, 3, 1),
         (5, 6, 5), (7, 5, 0), (5, 4, 1), (11, 5, 1), (13, 5, 13), (3, 36, 1),
-    ],
+    ]),
 )
 def test_order_and_normality_from_the_head_match_the_table(p, r, tau):
     gp = gr.make_group(p, r, tau)
