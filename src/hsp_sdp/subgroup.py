@@ -372,39 +372,79 @@ def bitset_elements(bits: int, y_mod: int) -> SubgroupSet:
     return frozenset(out)
 
 
+def _repeat(block: int, width: int, n: int) -> int:
+    """block (below 2^width) repeated n times at a stride of width bits, by
+    doubling shifts and one shift for the remainder."""
+    have = 1
+    while 2 * have <= n:
+        block |= block << have * width
+        have *= 2
+    if have < n:
+        block |= (block & ((1 << (n - have) * width) - 1)) << have * width
+    return block
+
+
 def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[int]]:
     """Every cyclic subgroup of G as (bitsets, orders, generator indices).
 
-    Walking <g> lists g^k for k = 1..ord(g); every g^k with gcd(k, ord(g)) = 1
-    generates the same <g>, so those elements are skipped as later starting
-    points, and every remaining element gives a new one. So each element
-    generates exactly one of the subgroups listed. The bitset of <g> is set
-    bit by bit in a packed little-endian byte array, read by int.from_bytes.
+    Every element g^k of <g> with gcd(k, ord(g)) = 1 generates the same <g>,
+    so those elements are covered as later starting points; the next element
+    not covered starts a new subgroup. So each element generates exactly one
+    of the subgroups listed, in the order of their least uncovered element.
+
+    <g> for g = (a0, b0) is built from the group law and arithmetic in
+    Z_{x_mod} (x_mod a power of p, any prime p), in O(p^2) multiplications
+    and O(|G|/64) machine words of big-int work, not in ord(g) steps:
+
+    - per = y_mod / gcd(b0, y_mod), in {1, p, p^2}, is the order of b0 in
+      Z_{y_mod}; the powers g^k = (a_k, b_k) for k < per are multiplied out,
+      and their rows b_k are distinct.
+    - g^per = (a, 0) generates <x^d> with d = gcd(a, x_mod), so
+      ord(g) = per * x_mod / d, and <g> is the union of the cosets
+      g^k <x^d> for k < per.
+    - g^k x^(jd) = (a_k + alpha^(b_k) jd, b_k), and alpha^(b_k) is a unit
+      mod x_mod, so that coset is the x-column {(a_k mod d) + jd} in row
+      b_k.
+    - So <g> is one pattern of d*y_mod bits, with one bit per row b_k, at
+      (a_k mod d)*y_mod + b_k, repeated x_mod/d times (_repeat).
+    - If per > 1, ord(g) is a power of p and p | per, so g^(k + m*per)
+      generates <g> exactly when p does not divide k: the generators are the
+      pattern's rows b_k with p not dividing k, repeated the same way. If
+      per = 1, <g> = <x^d>, and its generators are <x^d> minus <x^(dp)>;
+      for the identity (d = x_mod) that leaves none to cover.
+
+    The covered set is one int; the next uncovered index above idx is the
+    lowest zero bit of c = covered >> (idx + 1), which (c + 1) & ~c isolates.
     """
     apow = gr.alpha_powers(gp)
-    x_mod, y_mod = gp.x_mod, gp.y_mod
+    p, x_mod, y_mod, order = gp.p, gp.x_mod, gp.y_mod, gp.order
     found, orders, gen_idx = [], [], []
-    covered, nbytes = bytearray(gp.order), (gp.order + 7) // 8
-    prime_to: dict[int, list[int]] = {}  # order n -> indices into powers of the generators
-    idx = 0
-    while idx >= 0:  # idx runs over the elements not yet covered
-        a0, b0 = a1, b1 = divmod(idx, y_mod)
-        powers = [idx]
-        while a1 or b1:  # up to the identity (0, 0)
-            a1, b1 = (a1 + a0 * apow[b1]) % x_mod, (b1 + b0) % y_mod
-            powers.append(a1 * y_mod + b1)
-        n = len(powers)
-        if n not in prime_to:
-            prime_to[n] = [k - 1 for k in range(1, n + 1) if math.gcd(k, n) == 1]
-        for k in prime_to[n]:
-            covered[powers[k]] = 1
-        packed = bytearray(nbytes)
-        for pdx in powers:
-            packed[pdx >> 3] |= 1 << (pdx & 7)
-        found.append(int.from_bytes(packed, "little"))
-        orders.append(n)
+    covered, idx = 0, 0
+    while idx < order:  # idx runs over the elements not yet covered
+        a0, b0 = divmod(idx, y_mod)
+        per = y_mod // math.gcd(b0, y_mod)
+        rows, a_k, b_k = [], 0, 0
+        for _ in range(per):  # g^k for k < per, then g^per = (a_k, 0)
+            rows.append((a_k, b_k))
+            a_k, b_k = (a_k + a0 * apow[b_k]) % x_mod, (b_k + b0) % y_mod
+        d = math.gcd(a_k, x_mod)
+        width, n = d * y_mod, x_mod // d
+        pattern, gens = bytearray((width + 7) // 8), bytearray((width + 7) // 8)
+        for k, (a, b) in enumerate(rows):
+            bit = a % d * y_mod + b
+            pattern[bit >> 3] |= 1 << (bit & 7)
+            if k % p:
+                gens[bit >> 3] |= 1 << (bit & 7)
+        bits = _repeat(int.from_bytes(pattern, "little"), width, n)
+        if per > 1:
+            covered |= _repeat(int.from_bytes(gens, "little"), width, n)
+        elif n > 1:  # <x^d> minus <x^(dp)>
+            covered |= bits ^ _repeat(1, width * p, n // p)
+        found.append(bits)
+        orders.append(per * n)
         gen_idx.append(idx)
-        idx = covered.find(0, idx + 1)
+        rest = covered >> (idx + 1)
+        idx += ((rest + 1) & ~rest).bit_length()
     return found, orders, gen_idx
 
 
@@ -474,9 +514,11 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     to fixpoint.
 
     A reference independent of the catalog: it uses the group law only
-    (alpha powers, multiplication), never descriptors, normal-form tables or
-    structural facts such as a bound on the number of generators. An order
-    is a popcount, taken once per member.
+    (alpha powers, multiplication, arithmetic in Z_{x_mod}), never
+    descriptors, normal-form tables or structural facts such as a bound on
+    the number of generators. The cyclic pass (_cyclic_subgroups) builds
+    each <g> from its first y-period of powers and one repeated x-column
+    pattern, and gives its order; a join's order is a popcount, taken once.
 
     Containment is tested on masks with one bit per cyclic subgroup
     (_cyclic_mask), far fewer bits than |G|. A subgroup is the union of the
@@ -489,7 +531,8 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     and for the output. No miss happens in G: meets of cyclic subgroups are
     cyclic, and G is metacyclic, so every subgroup joins two cyclic ones and
     is found before the first non-cyclic member is tried. The fallback
-    stays, as this reference assumes no generator bound.
+    stays, as this reference assumes no generator bound; without the
+    trivial subgroup among the cyclic members, every trivial meet takes it.
 
     Joins use the product formula. For subgroups A and B the set AB has
     exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup

@@ -1,7 +1,8 @@
 """Reference code that only tests call: register spans and axis depths
 computed by brute force from explicit element sets, the row walk that
-qsim.pullback's closed form replaced, and a recorder of the elements an
-oracle is queried on."""
+qsim.pullback's closed form replaced, the element walk that the lattice's
+cyclic pass replaced, and a recorder of the elements an oracle is queried
+on."""
 
 import math
 from functools import reduce
@@ -67,6 +68,41 @@ def row_walk_k_gens(table: SubgroupTable, domain) -> tuple:
             u1, v1 = u, b
     gens = ([(0, v0)] if v0 is not None else []) + ([(u1, v1)] if u1 is not None else [])
     return tuple(tuple(pt[i] for i in kept) for pt in gens)
+
+
+def cyclic_subgroups_walk(gp: gr.GroupParams) -> tuple[list[int], list[int], list[int]]:
+    """subgroup._cyclic_subgroups by walking every power of every cyclic
+    subgroup, one group-law step per element.
+
+    Walking <g> lists g^k for k = 1..ord(g); every g^k with gcd(k, ord(g)) = 1
+    generates the same <g>, so those elements are skipped as later starting
+    points, and every remaining element gives a new one. The bitset of <g> is
+    set bit by bit in a packed little-endian byte array, read by
+    int.from_bytes.
+    """
+    apow = gr.alpha_powers(gp)
+    x_mod, y_mod = gp.x_mod, gp.y_mod
+    found, orders, gen_idx = [], [], []
+    covered, nbytes = bytearray(gp.order), (gp.order + 7) // 8
+    idx = 0
+    while idx >= 0:  # idx runs over the elements not yet covered
+        a0, b0 = a1, b1 = divmod(idx, y_mod)
+        powers = [idx]
+        while a1 or b1:  # up to the identity (0, 0)
+            a1, b1 = (a1 + a0 * apow[b1]) % x_mod, (b1 + b0) % y_mod
+            powers.append(a1 * y_mod + b1)
+        n = len(powers)
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                covered[powers[k - 1]] = 1
+        packed = bytearray(nbytes)
+        for pdx in powers:
+            packed[pdx >> 3] |= 1 << (pdx & 7)
+        found.append(int.from_bytes(packed, "little"))
+        orders.append(n)
+        gen_idx.append(idx)
+        idx = covered.find(0, idx + 1)
+    return found, orders, gen_idx
 
 
 def record_queries(monkeypatch) -> list:

@@ -13,7 +13,7 @@ from hsp_sdp import numtheory as nt
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import InvalidDescriptor, TooLarge
 
-from helpers import intersect_with_axis
+from helpers import cyclic_subgroups_walk, intersect_with_axis
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -450,6 +450,52 @@ def test_cyclic_subgroups_lists_each_cyclic_closure_once(p, r, tau):
     for bits, order, idx in zip(found, orders, gen_idx):
         assert order == bits.bit_count()
         assert bits >> idx & 1
+
+
+def _p2_group(r, tau):
+    """Z_{2^r} x| Z_4 with alpha = 1 + tau*2^(r-2), which make_group refuses."""
+    base = gr.make_semidirect(2**r, 2, 1 + tau * 2 ** (r - 2))
+    return gr.GroupParams(x_mod=base.x_mod, p=2, alpha=base.alpha, y_mod=4, r=r, tau=tau,
+                          class_tag="p=2")
+
+
+@pytest.mark.parametrize(
+    "gp",
+    [gr.make_group(*case) for case in SMALL_GRID + [(5, 6, 1), (7, 5, 1), (11, 3, 1)]]
+    + [_p2_group(r, tau) for r, tau in [(4, 1), (5, 0), (5, 1), (6, 1), (6, 2), (7, 3)]],
+    ids=lambda gp: f"{gp.p}-{gp.x_mod}-{gp.alpha}",
+)
+def test_cyclic_subgroups_equal_the_element_walk(gp):
+    # same bitsets, orders and generator indices, in the same discovery order
+    assert sg._cyclic_subgroups(gp) == cyclic_subgroups_walk(gp)
+
+
+@pytest.mark.parametrize("p,r,tau", [(3, 3, 1), (3, 5, 1), (5, 3, 5)])
+def test_lattice_popcount_fallback_decides_as_the_mask_lookup(monkeypatch, p, r, tau):
+    # Without the trivial subgroup in the cyclic pass, no member has the
+    # empty mask, so every pair that meets trivially misses order_of and takes
+    # |A n B| from the popcount of the element bitsets. The popcount must give
+    # the same join decisions, so the same closures and the same members.
+    gp = gr.make_group(p, r, tau)
+    cyclic_subgroups, coset_closure = sg._cyclic_subgroups, sg._coset_closure
+    closures = []
+
+    def counted_closure(*args):
+        closures.append(args[1])
+        return coset_closure(*args)
+
+    monkeypatch.setattr(sg, "_coset_closure", counted_closure)
+    want = sg.brute_force_lattice_bits(gp)
+    want_closures, closures[:] = closures[:], []
+
+    def without_trivial(gp):
+        found, orders, gen_idx = cyclic_subgroups(gp)
+        assert gen_idx[0] == 0 and found[0] == 1  # the identity comes first
+        return found[1:], orders[1:], gen_idx[1:]
+
+    monkeypatch.setattr(sg, "_cyclic_subgroups", without_trivial)
+    assert sg.brute_force_lattice_bits(gp) == want[1:]
+    assert closures == want_closures
 
 
 @pytest.mark.parametrize("tau", [0, 1, 3])
