@@ -348,12 +348,19 @@ def brute_force_commutator(gp: gr.GroupParams) -> SubgroupSet:
     set is the pairwise sum of the two single-coordinate value sets
     {a*(1 - alpha^b)} and {a*(alpha^b - 1)}. As a runs over all of Z_{x_mod},
     the first set is closed under negation (a -> x_mod - a), so the two sets
-    are the same and one pass over the a values and alpha powers builds it.
+    are the same. For each distinct c = (1 - alpha^b) mod x_mod, {a*c} over
+    all a is <c>, the additive multiples of c: they are stepped through, c,
+    2c, ... up to the wrap to 0, in ord(c) additions instead of x_mod
+    products per alpha power.
     """
     if gp.order > BRUTE_FORCE_GUARD:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
-    x_mod, apow = gp.x_mod, gr.alpha_powers(gp)  # once: an inner for is re-run per a
-    left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
+    x_mod, left = gp.x_mod, {0}
+    for c in {(1 - t) % x_mod for t in gr.alpha_powers(gp)}:
+        u = c
+        while u:  # the multiples of c, up to the wrap to 0
+            left.add(u)
+            u = (u + c) % x_mod
     if len(left) ** 2 > MATERIALIZE_GUARD:
         raise TooLarge("commutator pair set too large")
     return frozenset(((u + v) % x_mod, 0) for u in left for v in left)
@@ -413,14 +420,19 @@ def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[in
       per = 1, <g> = <x^d>, and its generators are <x^d> minus <x^(dp)>;
       for the identity (d = x_mod) that leaves none to cover.
 
-    The covered set is one int; the next uncovered index above idx is the
-    lowest zero bit of c = covered >> (idx + 1), which (c + 1) & ~c isolates.
+    The uncovered elements are one int, free, the identity left out as it
+    starts first and generates nothing. The generators of a new <g> are all
+    uncovered (one that was covered would generate an earlier subgroup), so
+    an XOR covers them, g among them. The next start is the lowest bit of
+    free, looked for below a limit that starts at 2*idx + 64 and doubles:
+    the starts lie low (within the first |G|/p + y_mod elements at (3,5),
+    (5,6), (7,5) and (11,3)), so most searches touch far fewer bits than |G|.
     """
     apow = gr.alpha_powers(gp)
     p, x_mod, y_mod, order = gp.p, gp.x_mod, gp.y_mod, gp.order
     found, orders, gen_idx = [], [], []
-    covered, idx = 0, 0
-    while idx < order:  # idx runs over the elements not yet covered
+    free, idx = (1 << order) - 2, 0
+    while idx >= 0:  # idx runs over the elements not yet covered
         a0, b0 = divmod(idx, y_mod)
         per = y_mod // math.gcd(b0, y_mod)
         rows, a_k, b_k = [], 0, 0
@@ -437,23 +449,30 @@ def _cyclic_subgroups(gp: gr.GroupParams) -> tuple[list[int], list[int], list[in
                 gens[bit >> 3] |= 1 << (bit & 7)
         bits = _repeat(int.from_bytes(pattern, "little"), width, n)
         if per > 1:
-            covered |= _repeat(int.from_bytes(gens, "little"), width, n)
+            free ^= _repeat(int.from_bytes(gens, "little"), width, n)
         elif n > 1:  # <x^d> minus <x^(dp)>
-            covered |= bits ^ _repeat(1, width * p, n // p)
+            free ^= bits ^ _repeat(1, width * p, n // p)
         found.append(bits)
         orders.append(per * n)
         gen_idx.append(idx)
-        rest = covered >> (idx + 1)
-        idx += ((rest + 1) & ~rest).bit_length()
+        limit = 2 * idx + 64
+        while not (low := free & ((1 << limit) - 1)) and limit < order:
+            limit *= 2
+        idx = (low & -low).bit_length() - 1  # -1 once every element is covered
     return found, orders, gen_idx
 
 
-def _cyclic_mask(gp: gr.GroupParams, bits: int, cyclic_gens: list[int]) -> int:
+def _mask_probes(cyclic_gens: list[int]) -> list[tuple[int, int, int]]:
+    """(byte, bit, 1 << c) for generator index i of cyclic subgroup c: bit i
+    of a bitset is bit i % 8 of byte i // 8 of its little-endian bytes."""
+    return [(i >> 3, 1 << (i & 7), 1 << c) for c, i in enumerate(cyclic_gens)]
+
+
+def _cyclic_mask(gp: gr.GroupParams, bits: int, probes) -> int:
     """Bit c is set when the subgroup bitset holds generator c, that is,
-    when the subgroup contains cyclic subgroup c. Bit i of the bitset is bit
-    i % 8 of byte i // 8 of its little-endian bytes."""
+    when the subgroup contains cyclic subgroup c; probes from _mask_probes."""
     packed = bits.to_bytes((gp.order + 7) // 8, "little")
-    return sum(1 << c for c, i in enumerate(cyclic_gens) if packed[i >> 3] >> (i & 7) & 1)
+    return sum(c_bit for byte, bit, c_bit in probes if packed[byte] & bit)
 
 
 @lru_cache(maxsize=None)
@@ -462,25 +481,39 @@ def _column_mask(gp: gr.SemidirectGroup) -> int:
     return int(("0" * (gp.y_mod - 1) + "1") * gp.x_mod, 2)
 
 
-def _columns(gp: gr.SemidirectGroup, bits: int) -> list[tuple[int, int]]:
-    """The bitset split by b: (b, column) for every nonempty column, where the
-    column has bit a*y_mod set when (a, b) is in the bitset."""
-    col0 = _column_mask(gp)
-    return [(b, col) for b in range(gp.y_mod) if (col := bits >> b & col0)]
+def _block(gp: gr.SemidirectGroup, bits: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(d, rows) for the subgroup bitset A: A n <x> = <x^d>, and rows holds
+    (a_b, b, alpha^b mod x_mod) with a_b < d for every nonempty column
+    b = {a : (a, b) in A}.
 
-
-def _right_coset(gp: gr.SemidirectGroup, columns: list[tuple[int, int]], k: gr.Element) -> int:
-    """The right coset A*k as a bitset, from A's _columns.
-
-    (a, b)*k = (a + alpha^b*a_k, b + b_k), so column b is rotated by
-    alpha^b*a_k and moved to column b + b_k: a left shift, folded modulo |G|.
+    Each column is the coset a_b + dZ: for (a, b) in A, A holds
+    (a, b)*(d*u, 0) = (a + alpha^b*d*u, b) for every u, all of a + dZ as
+    alpha^b is a unit mod x_mod; and for (a', b) in A too,
+    (a, b)^-1 (a', b) = (alpha^-b (a' - a), 0) lies in <x^d>. So A is its
+    first block of d*y_mod indices (a < d), one bit per column, repeated
+    x_mod/d times.
     """
-    ak, bk = k
-    alpha, x_mod, y_mod, order = gp.alpha, gp.x_mod, gp.y_mod, gp.order
-    out = 0
-    for b, col in columns:
-        out |= col << (pow(alpha, b, x_mod) * ak % x_mod * y_mod + (b + bk) % y_mod)
-    return out & ((1 << order) - 1) | out >> order
+    alpha, x_mod, y_mod = gp.alpha, gp.x_mod, gp.y_mod
+    axis = bits & _column_mask(gp) ^ 1  # (a, 0) in A, the identity left out
+    d = ((axis & -axis).bit_length() - 1) // y_mod if axis else x_mod
+    first, rows = bits & ((1 << d * y_mod) - 1), []
+    while first:  # one bit per column, lowest first
+        low = first & -first
+        a, b = divmod(low.bit_length() - 1, y_mod)
+        rows.append((a, b, pow(alpha, b, x_mod)))
+        first ^= low
+    return d, rows
+
+
+def _right_coset(gp: gr.SemidirectGroup, block, k: gr.Element) -> list[int]:
+    """The right coset A*k as the indices of its first block, from A's _block.
+
+    (a_b + d*u, b)*k = (a_b + alpha^b*a_k + d*u, b + b_k), so column b moves
+    to column b + b_k as the coset of dZ at a_b + alpha^b*a_k mod d: A*k
+    repeats with the step d too.
+    """
+    (d, rows), (ak, bk), y_mod = block, k, gp.y_mod
+    return [(a + t * ak) % d * y_mod + (b + bk) % y_mod for a, b, t in rows]
 
 
 def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
@@ -491,27 +524,38 @@ def _coset_closure(gp: gr.SemidirectGroup, bits: int, gens) -> int:
     the union lies in a coset A*k' taken before, and then A*k = A*k'. So the
     union ends closed under right multiplication by every generator, which
     makes it <A, gens>.
+
+    Every coset repeats with A's x-step d (_right_coset), so the union is
+    kept as the bits of its first block of d*y_mod indices, in a byte array,
+    and repeated once at the end: a closure sets one bit per coset and
+    column, and its big-int work is reading A's block (_block) and that
+    one repeat.
     """
     alpha, x_mod, y_mod = gp.alpha, gp.x_mod, gp.y_mod
-    columns = _columns(gp, bits)
-    join, frontier = bits, [gr.IDENTITY]
+    block = _block(gp, bits)
+    d = block[0]
+    width = d * y_mod
+    join = bytearray((bits & ((1 << width) - 1)).to_bytes((width + 7) // 8, "little"))
+    frontier = [gr.IDENTITY]
     while frontier:
         nxt = []
         for a1, b1 in frontier:
             t = pow(alpha, b1, x_mod)
             for a2, b2 in gens:
                 k = (a1 + a2 * t) % x_mod, (b1 + b2) % y_mod
-                if not join >> (k[0] * y_mod + k[1]) & 1:
-                    join |= _right_coset(gp, columns, k)
+                i = k[0] % d * y_mod + k[1]
+                if not join[i >> 3] >> (i & 7) & 1:
+                    for j in _right_coset(gp, block, k):
+                        join[j >> 3] |= 1 << (j & 7)
                     nxt.append(k)
         frontier = nxt
-    return join
+    return _repeat(int.from_bytes(join, "little"), width, x_mod // d)
 
 
 def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     """Every subgroup of G as an int bitset over the element index
-    a*y_mod + b, in discovery order: cyclic subgroups, then pairwise joins
-    to fixpoint.
+    a*y_mod + b, in discovery order: cyclic subgroups, then joins with
+    cyclic subgroups to fixpoint.
 
     A reference independent of the catalog: it uses the group law only
     (alpha powers, multiplication, arithmetic in Z_{x_mod}), never
@@ -520,19 +564,26 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     each <g> from its first y-period of powers and one repeated x-column
     pattern, and gives its order; a join's order is a popcount, taken once.
 
+    Join partners are the cyclic members only. Every member X is tried
+    against every cyclic C, so the members at the end are closed under
+    X -> <X, C>. Every subgroup H is <C_1, ..., C_k> for cyclic C_i (one per
+    element), and C_1, <C_1, C_2>, ... are members in turn, so H is found.
+    This uses no fact about G. In G (metacyclic) every member is already a
+    join of two cyclic ones, so the pairs of non-cyclic members that are
+    left out added nothing: the members, their order and the closures taken
+    (one per non-cyclic member) are those of trying every pair.
+
     Containment is tested on masks with one bit per cyclic subgroup
     (_cyclic_mask), far fewer bits than |G|. A subgroup is the union of the
     cyclic subgroups of its elements, so A <= K exactly when
     mask(A) & mask(K) == mask(A), and a mask names at most one subgroup.
     mask(A) & mask(B) is the mask of A n B, so |A n B| is looked up in
-    order_of (mask -> order of every member found so far); only on a miss,
-    when A n B is not yet found, is it one AND and one popcount of the
-    element bitsets. Element bitsets are otherwise used only for closures
-    and for the output. No miss happens in G: meets of cyclic subgroups are
-    cyclic, and G is metacyclic, so every subgroup joins two cyclic ones and
-    is found before the first non-cyclic member is tried. The fallback
-    stays, as this reference assumes no generator bound; without the
-    trivial subgroup among the cyclic members, every trivial meet takes it.
+    order_of (mask -> order of every member found so far). A n B lies in
+    the cyclic partner B, so it is cyclic and the lookup cannot miss while
+    the cyclic pass lists every cyclic subgroup; a miss would take one AND
+    and one popcount of the element bitsets (the tests run this fallback by
+    leaving the trivial subgroup out). Element bitsets are otherwise used
+    only for closures and for the output.
 
     Joins use the product formula. For subgroups A and B the set AB has
     exactly |A|*|B| / |A n B| elements and lies inside <A, B>. If a subgroup
@@ -547,7 +598,8 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
         raise TooLarge(f"group order {gp.order} exceeds 2^20 brute force guard")
     # in discovery order: bitsets, their popcounts and their masks
     found, orders, cyclic_gens = _cyclic_subgroups(gp)
-    masks = [_cyclic_mask(gp, bits, cyclic_gens) for bits in found]
+    probes = _mask_probes(cyclic_gens)
+    masks = [_cyclic_mask(gp, bits, probes) for bits in found]
     gens_of = {bits: (divmod(i, gp.y_mod),) for bits, i in zip(found, cyclic_gens)}
     order_of = dict(zip(masks, orders))  # mask -> order
     by_order: dict[int, list[int]] = {}  # order -> masks
@@ -555,9 +607,10 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
         by_order.setdefault(order, []).append(mask)
 
     # found grows while it is walked, so joins of new members are tried too
+    cyclic = list(zip(found, orders, masks))  # the join partners
     for idx, bits_a in enumerate(found):
         order_a, mask_a = orders[idx], masks[idx]
-        for bits_b, order_b, mask_b in zip(found[:idx], orders[:idx], masks[:idx]):
+        for bits_b, order_b, mask_b in cyclic[:idx]:
             meet = mask_a & mask_b
             if meet == mask_a or meet == mask_b:
                 continue
@@ -575,7 +628,7 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
                     gens_of[bits] = gens
                     found.append(bits)
                     orders.append(bits.bit_count())
-                    masks.append(_cyclic_mask(gp, bits, cyclic_gens))
+                    masks.append(_cyclic_mask(gp, bits, probes))
                     order_of[masks[-1]] = orders[-1]
                     by_order.setdefault(orders[-1], []).append(masks[-1])
     return found

@@ -1,7 +1,8 @@
 """Reference code that only tests call: register spans and axis depths
 computed by brute force from explicit element sets, the row walk that
 qsim.pullback's closed form replaced, the element walk that the lattice's
-cyclic pass replaced, and a recorder of the elements an oracle is queried
+cyclic pass replaced, the product enumeration that the commutator's
+multiples replaced, and a recorder of the elements an oracle is queried
 on."""
 
 import math
@@ -103,6 +104,14 @@ def cyclic_subgroups_walk(gp: gr.GroupParams) -> tuple[list[int], list[int], lis
         gen_idx.append(idx)
         idx = covered.find(0, idx + 1)
     return found, orders, gen_idx
+
+
+def commutators_by_products(gp: gr.GroupParams) -> frozenset:
+    """subgroup.brute_force_commutator from all x_mod * y_mod products
+    a*(1 - alpha^b): the pairwise sums of that value set, on the x-axis."""
+    x_mod, apow = gp.x_mod, gr.alpha_powers(gp)
+    left = {a * (1 - t) % x_mod for a in range(x_mod) for t in apow}
+    return frozenset(((u + v) % x_mod, 0) for u in left for v in left)
 
 
 def record_queries(monkeypatch) -> list:

@@ -13,7 +13,7 @@ from hsp_sdp import numtheory as nt
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import InvalidDescriptor, TooLarge
 
-from helpers import cyclic_subgroups_walk, intersect_with_axis
+from helpers import commutators_by_products, cyclic_subgroups_walk, intersect_with_axis
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -407,7 +407,8 @@ def test_brute_force_lattice_guard():
 # sha256 of ",".join(map(hex, brute_force_lattice_bits(gp))): the list and its
 # discovery order are pinned. The first five were recorded from the
 # element-by-element closure that the coset closure replaced, (5, 5, 5) and
-# (3, 7, 3) from the coset closure before |A n B| was looked up by mask
+# (3, 7, 3) from the coset closure before |A n B| was looked up by mask,
+# (5, 6, 1) and (7, 5, 1) from the walk that joined every pair of members
 LATTICE_DIGESTS = {
     (3, 5, 0): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
     (3, 5, 1): "dd99d69657d7bfc7fdf71f42752dfd2fd83c93bf122f891859d90f21c52bcd10",
@@ -416,6 +417,8 @@ LATTICE_DIGESTS = {
     (5, 5, 1): "5fe153e54dbf931646e82deb2c905032d7a9474285095cc542eba11e5e4ae91e",
     (5, 5, 5): "5fe153e54dbf931646e82deb2c905032d7a9474285095cc542eba11e5e4ae91e",
     (3, 7, 3): "3d4541c9272a76b6ef8fa3720c4ff1b8121acbf52e933c1de8a5fbe6ca3a690c",
+    (5, 6, 1): "8872f2f72bc833402e062684f1e566834ef6a9949019f92d131021d7fc0d339d",
+    (7, 5, 1): "59600c365ea7030e0c9569e5d7860f45537e196bff8a49c5609dbf5211b2dd25",
 }
 
 
@@ -432,10 +435,16 @@ def test_right_coset_matches_elementwise_products(p, r, tau):
     rng = random.Random(13)
     for bits in sg.brute_force_lattice_bits(gp):
         members = sg.bitset_elements(bits, gp.y_mod)
-        columns = sg._columns(gp, bits)
+        block = sg._block(gp, bits)
+        width, copies = block[0] * gp.y_mod, gp.x_mod // block[0]
+
+        def repeated(indices):
+            return sg._repeat(sum(1 << i for i in indices), width, copies)
+
+        assert repeated(a * gp.y_mod + b for a, b, _ in block[1]) == bits
         for _ in range(3):
             k = (rng.randrange(gp.x_mod), rng.randrange(gp.y_mod))
-            coset = sg._right_coset(gp, columns, k)
+            coset = repeated(sg._right_coset(gp, block, k))
             assert sg.bitset_elements(coset, gp.y_mod) == {gr.mul(gp, h, k) for h in members}
 
 
@@ -470,6 +479,24 @@ def test_cyclic_subgroups_equal_the_element_walk(gp):
     assert sg._cyclic_subgroups(gp) == cyclic_subgroups_walk(gp)
 
 
+@pytest.mark.parametrize(
+    "gp",
+    [gr.make_group(3, 4, 1), gr.make_group(3, 5, 3), gr.make_group(5, 3, 1),
+     _p2_group(5, 1), _p2_group(6, 2)],
+    ids=lambda gp: f"{gp.p}-{gp.x_mod}-{gp.alpha}",
+)
+def test_join_of_any_two_members_is_a_member(gp):
+    # The lattice joins members with cyclic members only; the join of any
+    # pair, two non-cyclic members included, must be among its members.
+    lattice = sg.brute_force_lattice_bits(gp)
+    _, _, cyclic_gens = sg._cyclic_subgroups(gp)
+    # a member is generated by the generators of the cyclic subgroups in it
+    gens = [[divmod(i, gp.y_mod) for i in cyclic_gens if bits >> i & 1] for bits in lattice]
+    members = set(lattice)
+    for (bits_a, _), (_, gens_b) in itertools.combinations(zip(lattice, gens), 2):
+        assert sg._coset_closure(gp, bits_a, gens_b) in members
+
+
 @pytest.mark.parametrize("p,r,tau", [(3, 3, 1), (3, 5, 1), (5, 3, 5)])
 def test_lattice_popcount_fallback_decides_as_the_mask_lookup(monkeypatch, p, r, tau):
     # Without the trivial subgroup in the cyclic pass, no member has the
@@ -501,9 +528,9 @@ def test_lattice_popcount_fallback_decides_as_the_mask_lookup(monkeypatch, p, r,
 @pytest.mark.parametrize("tau", [0, 1, 3])
 def test_cyclic_mask_containment_equals_bitset_containment(tau):
     gp = gr.make_group(3, 5, tau)
-    _, _, cyclic_gens = sg._cyclic_subgroups(gp)
+    probes = sg._mask_probes(sg._cyclic_subgroups(gp)[2])
     lattice = sg.brute_force_lattice_bits(gp)
-    masks = [sg._cyclic_mask(gp, bits, cyclic_gens) for bits in lattice]
+    masks = [sg._cyclic_mask(gp, bits, probes) for bits in lattice]
     assert len(set(masks)) == len(lattice)
     by_mask = dict(zip(masks, lattice))
     for a, mask_a in zip(lattice, masks):
@@ -602,6 +629,12 @@ def test_brute_force_commutator_matches():
     for gp in (G351, G353):
         want = sg.elements(gp, sg.commutator_subgroup(gp))
         assert sg.brute_force_commutator(gp) == want
+
+
+@pytest.mark.parametrize("p,r,tau", with_grid([(5, 6, 1), (7, 5, 1)]))
+def test_brute_force_commutator_equals_the_product_enumeration(p, r, tau):
+    gp = gr.make_group(p, r, tau)
+    assert sg.brute_force_commutator(gp) == commutators_by_products(gp)
 
 
 @pytest.mark.parametrize("tau", [0, 1, 3])
