@@ -26,15 +26,20 @@ invertible c_a pins t = -c_a^(-1) c_b mod p.  Invertible draws happen with
 frequency 1 - 1/p, which is why a handful of samples suffice.
 """
 
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
-from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
+
+# the exact and dense reference distributions are test code, kept in tests/
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+import reference
 
 
 def main():
@@ -51,7 +56,7 @@ def main():
     print("\n== one coset-collapse draw ==")
     k = qsim.pullback(o, domain)
     s = qsim.coset_sample(o, k, rng)
-    print(f"  support size {len(s.points)} (= |K|), base point {s.base}")
+    print(f"  support size {len(reference.points(s))} (= |K|), base point {s.base}")
     print(f"  K generators in the register domain: {list(s.gens)}")
 
     print("\n== exact Fourier outcome distribution of that coset state ==")

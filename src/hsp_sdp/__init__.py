@@ -11,7 +11,6 @@ group       group parameters and element arithmetic
 subgroup    descriptor catalog, normal forms, brute-force lattice
 oracle      hiding-function oracles with query accounting
 qsim        closed-form coset sampling, Fourier sampling, abelian HSP
-reference   test-only level-set scan and exact / dense outcome distributions
 solver      the full recovery state machine with verified output
 composite   reduction for composite-order x-coordinate groups
 cli         command line front end (enumerate / solve / sweep / verify-catalog)

@@ -223,12 +223,6 @@ def _normality_claims(catalog):
     ]
 
 
-def _by_elements(gp, bitsets) -> list[tuple[frozenset, int]]:
-    """(element set, bitset) pairs ordered by (order, sorted elements)."""
-    pairs = [(sg.bitset_elements(bits, gp.y_mod), bits) for bits in bitsets]
-    return sorted(pairs, key=lambda pair: (len(pair[0]), sorted(pair[0])))
-
-
 def _cmd_verify_catalog(args) -> int:
     gp = gr.make_group(args.p, args.r, args.tau)
     if gp.r <= 4:
@@ -250,13 +244,13 @@ def _cmd_verify_catalog(args) -> int:
         ok = False
         print(f"catalog mismatch: {len(missing)} missing, {len(extra)} extra")
         # only the unmatched members are decoded to element sets
-        for s, _ in _by_elements(gp, missing):
+        for s, _ in sg._by_elements(missing, gp.y_mod):
             print(f"  missing subgroup of order {len(s)}: sample {sorted(s)[:4]}")
-        for _, bits in _by_elements(gp, extra):
+        for _, bits in sg._by_elements(extra, gp.y_mod):
             print(f"  extra descriptor {_compact(sg.descriptor_to_json(by_bits[bits][0]))}")
     elif ok:
         print(f"catalog matches brute-force lattice: {len(catalog)} subgroups")
-    for _, bits in _by_elements(gp, duplicated):
+    for _, bits in sg._by_elements(duplicated, gp.y_mod):
         tags = " = ".join(_compact(sg.descriptor_to_json(d)) for d in by_bits[bits])
         print(f"catalog duplicate: {tags}")
     # is_normal reads each head in closed form; the generators' tables

@@ -17,7 +17,8 @@ one query for the identity, then one per element until the first one
 outside H. Las Vegas loops call meter.attempt(k) once per attempt.
 
 Labels and queries work on Python ints at any group size; the int64 array
-labelling of the reference scan (reference.label_array) has its own guard.
+labelling of the test reference's scan (label_array in tests/reference.py)
+has its own guard.
 """
 
 from __future__ import annotations

@@ -59,15 +59,16 @@ exact: the probe's six points per (group, dims, axes), K's annihilator per
 (dims, K generators) and the register constants per dims (_register). Labels, head reads and their charges are not
 cached, so every call still evaluates, meters and can raise.
 
-reference.level_set_scan labels every point and checks the coset structure
-by brute force; the tests pin the closed form against it.
+The test reference (tests/reference.py) labels every point with its
+level_set_scan and checks the coset structure by brute force; the tests pin
+the closed form against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from . import group as gr
@@ -204,27 +205,13 @@ def _shape(domain: Domain, y_mod: int) -> tuple[int, int, int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class CosetSupport:
-    """Post-measurement support: the coset base + K of the register domain.
-
-    The points are materialized from base and generators only when read.
-    """
+    """Post-measurement support: the coset base + K of the register domain,
+    kept as base and generators (tests/reference.py lists its points)."""
 
     dims: Register
     base: Register
     gens: tuple[Register, ...]  # generators of K, shared by every sample
     ann: tuple[Register, ...]  # generators of the annihilator of K
-
-    @cached_property
-    def points(self) -> frozenset:
-        pts = {self.base}
-        for g in self.gens:
-            layer = pts
-            while True:  # pts + k g for k = 1, 2, ... until it closes up
-                layer = {_add(u, g, self.dims) for u in layer}
-                if layer <= pts:
-                    break
-                pts |= layer
-        return frozenset(pts)
 
 
 def pullback(o, domain: Domain) -> CosetSupport:
@@ -273,7 +260,8 @@ def coset_sample(o, k: CosetSupport, rng) -> CosetSupport:
 
 def fourier_sample(s: CosetSupport, rng) -> Register:
     """One draw from the outcome law of the coset state s, uniform on the
-    annihilator of K (reference.fourier_distribution derives it by summation).
+    annihilator of K (tests/reference.py's fourier_distribution derives it
+    by summation).
 
     Summing uniform multiples of the annihilator generators is a surjective
     homomorphism from Z_L^k onto it, hence uniform.

@@ -32,8 +32,8 @@ exponent (p odd) gives c the p-valuation of p^(2-j), that is 2 - j, so
 H's x-axis part is <x^D> with D = gcd(t*p^i * c, p^r) = p^min(r, i+2-j).
 _head reads the head off any generating set in O(#gens * log p^2) group
 operations. SubgroupTable materializes the head as one x-offset per
-y-value, for bitsets, element sets and the tests' reference. canonicalize
-reads the catalog descriptor off the head:
+y-value, each row read from _rows, for bitsets and element sets.
+canonicalize reads the catalog descriptor off the head:
 
     s == y_mod                   sg1x(k)
     a_1 == 0                     sg2(k, j) if k < r, else sg1m(1, r, j)
@@ -174,13 +174,11 @@ class SubgroupTable:
 
     @classmethod
     def from_generators(cls, gp: gr.SemidirectGroup, gens) -> "SubgroupTable":
-        """_head, then row k+1 = row k + alpha^(k*s) * a_1 mod d in b order."""
-        d, s, a_1 = _head(gp, gens)
-        apow, reps, a = gr.alpha_powers(gp), [], 0
-        for b in range(0, gp.y_mod, s):
-            reps.append((b, a))
-            a = (a + apow[b] * a_1) % d
-        return cls(gp.x_mod, gp.y_mod, d, tuple(reps))
+        """_head, then row k = (k*s, a_k) from _rows."""
+        head = _head(gp, gens)
+        d, s, _ = head
+        row = _rows(gp, head)
+        return cls(gp.x_mod, gp.y_mod, d, tuple((k * s, row(k)) for k in range(gp.y_mod // s)))
 
     @property
     def order(self) -> int:
@@ -208,17 +206,12 @@ class SubgroupTable:
 
         With a_b < d, the reps fill the first block of d*y_mod indices, and
         the element set is that block repeated x_mod/d times, each copy d*y_mod
-        indices (one x-step) higher. Doubling the copies takes O(log) shifts.
+        indices (one x-step) higher (_repeat).
         """
-        stride, count = self.x_step * self.y_mod, self.x_mod // self.x_step
-        bits = 0
+        block = 0
         for b, a in self.reps:
-            bits |= 1 << (a * self.y_mod + b)
-        copies = 1
-        while copies < count:
-            bits |= bits << (stride * copies)
-            copies *= 2
-        return bits & ((1 << stride * count) - 1)
+            block |= 1 << (a * self.y_mod + b)
+        return _repeat(block, self.x_step * self.y_mod, self.x_mod // self.x_step)
 
     def x_intersection_val(self, p: int) -> int:
         """m with intersection along the x-axis equal to <x^(p^m)>."""
@@ -634,11 +627,16 @@ def brute_force_lattice_bits(gp: gr.GroupParams) -> list[int]:
     return found
 
 
+def _by_elements(bitsets, y_mod: int) -> list[tuple[SubgroupSet, int]]:
+    """(element set, bitset) pairs ordered by (order, sorted elements)."""
+    pairs = [(bitset_elements(bits, y_mod), bits) for bits in bitsets]
+    return sorted(pairs, key=lambda pair: (len(pair[0]), sorted(pair[0])))
+
+
 def brute_force_lattice(gp: gr.GroupParams) -> list[SubgroupSet]:
     """Every subgroup of G as an element set, ordered by (order, sorted elements).
 
     A thin decode of brute_force_lattice_bits, which derives the lattice from
     the group law only and raises TooLarge above BRUTE_FORCE_GUARD.
     """
-    sets = [bitset_elements(bits, gp.y_mod) for bits in brute_force_lattice_bits(gp)]
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    return [s for s, _ in _by_elements(brute_force_lattice_bits(gp), gp.y_mod)]

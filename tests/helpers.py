@@ -1,9 +1,10 @@
 """Reference code that only tests call: register spans and axis depths
-computed by brute force from explicit element sets, the row walk that
-qsim.pullback's closed form replaced, the element walk that the lattice's
-cyclic pass replaced, the product enumeration that the commutator's
-multiples replaced, and a recorder of the elements an oracle is queried
-on."""
+computed by brute force from explicit element sets, the alpha-power walk
+over a head's rows that subgroup._rows' closed form replaced, the row walk
+that qsim.pullback's closed form replaced, the element walk that the
+lattice's cyclic pass replaced, the product enumeration that the
+commutator's multiples replaced, and a recorder of the elements an oracle is
+queried on."""
 
 import math
 from functools import reduce
@@ -44,6 +45,17 @@ def intersect_with_axis(gp: gr.GroupParams, subgroup: SubgroupSet, axis: str) ->
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     assert u <= 1, "axis intersection must be a p-power cyclic group"
     return v
+
+
+def walked_rows(gp: gr.SemidirectGroup, head: tuple[int, int, int]) -> list[int]:
+    """The x-offset a_k of every row k of H's head (d, s, a_1), walked in b
+    order: row k+1 = row k + alpha^(k*s) * a_1 mod d."""
+    d, s, a_1 = head
+    apow, rows, a = gr.alpha_powers(gp), [], 0
+    for b in range(0, gp.y_mod, s):
+        rows.append(a)
+        a = (a + apow[b] * a_1) % d
+    return rows
 
 
 def row_walk_k_gens(table: SubgroupTable, domain) -> tuple:

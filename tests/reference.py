@@ -1,9 +1,11 @@
-"""Reference simulation that only tests and demos run.
+"""Reference simulation that only tests and demo 03 run; the package
+neither ships nor imports it.
 
 The solver samples cosets of K = embed^-1(H) read in closed form from the
 hidden table (`qsim.pullback`). This module keeps the independent
 references that closed form is checked against:
 
+    points                        the register points of a coset support
     label_array                   the oracle's label rule on int64 arrays
     level_set_scan                labels every register point with it, reads
                                   K off the identity level set and validates
@@ -34,10 +36,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import group as gr
-from . import subgroup as sg
-from .errors import PreconditionViolated, TooLarge
-from .qsim import CosetSupport, Domain, Register, dual_kernel
+from hsp_sdp import group as gr
+from hsp_sdp import subgroup as sg
+from hsp_sdp.errors import PreconditionViolated, TooLarge
+from hsp_sdp.qsim import CosetSupport, Domain, Register, _add, dual_kernel
+
+from helpers import register_span
 
 COSET_GUARD = 2**20
 DENSE_GUARD = 2**14
@@ -49,6 +53,11 @@ class Scan(NamedTuple):
     labels: np.ndarray  # level-set label of every register point, C order
     k_gens: tuple[Register, ...]
     ann: tuple[Register, ...]  # dual_kernel(dims, k_gens)
+
+
+def points(s: CosetSupport) -> frozenset:
+    """The coset s as a set of register points: its base plus K."""
+    return frozenset(_add(s.base, k, s.dims) for k in register_span(s.dims, s.gens))
 
 
 def _point(flat: int, dims: Register) -> Register:
@@ -166,7 +175,7 @@ def fourier_distribution(s: CosetSupport) -> OutcomeDistribution:
     dims = s.dims
     L = math.lcm(*dims)
     weights = [L // n for n in dims]
-    pts = sorted(s.points)
+    pts = sorted(points(s))
     size = len(pts)
     n_total = math.prod(dims)
     hit = Fraction(size, n_total)
@@ -225,7 +234,7 @@ def branch_mixture_distribution(o, domain: Domain) -> OutcomeDistribution:
     acc: dict = {}
     for s in _level_sets(level_set_scan(o, domain), dims):
         dist = fourier_distribution(s)
-        weight = Fraction(len(s.points), n_total)
+        weight = Fraction(len(points(s)), n_total)
         for c, p in dist.probs.items():
             acc[c] = acc.get(c, Fraction(0)) + weight * p
     return OutcomeDistribution(dims=dims, probs=acc)

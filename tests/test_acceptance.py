@@ -14,10 +14,11 @@ from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
 from hsp_sdp import qsim
-from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import RetriesExhausted, VerificationFailed
+
+import reference
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)

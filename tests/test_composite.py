@@ -9,7 +9,6 @@ import pytest
 from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
-from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import (
@@ -22,6 +21,7 @@ from hsp_sdp.errors import (
 )
 
 from helpers import record_queries
+import reference
 
 N = 1215  # 3^5 * 5
 ALPHA = 271  # == 28 mod 243, == 1 mod 5

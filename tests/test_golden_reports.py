@@ -22,9 +22,10 @@ import pytest
 from hsp_sdp import composite as cx
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
-from hsp_sdp import reference
 from hsp_sdp import solver
 from hsp_sdp import subgroup as sg
+
+import reference
 
 DATA = Path(__file__).parent / "data" / "golden_reports.json"
 

@@ -6,9 +6,10 @@ import pytest
 
 from hsp_sdp import group as gr
 from hsp_sdp import oracle as orc
-from hsp_sdp import reference
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import TooLarge
+
+import reference
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)

@@ -13,7 +13,9 @@ from hsp_sdp import numtheory as nt
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import InvalidDescriptor, TooLarge
 
-from helpers import commutators_by_products, cyclic_subgroups_walk, intersect_with_axis
+from helpers import (
+    commutators_by_products, cyclic_subgroups_walk, intersect_with_axis, walked_rows,
+)
 
 G351 = gr.make_group(3, 5, 1)
 G353 = gr.make_group(3, 5, 3)
@@ -469,6 +471,15 @@ def _p2_group(r, tau):
 
 
 @pytest.mark.parametrize(
+    "r,tau", [(4, 1), (5, 0), (5, 1), (6, 1), (6, 2), (7, 3), (8, 1), (8, 2)]
+)
+def test_descriptor_head_equals_the_head_of_the_generators_at_p2(r, tau):
+    gp = _p2_group(r, tau)
+    for d in sg.enumerate_catalog(gp):
+        assert sg.descriptor_head(gp, d) == sg._head(gp, sg.generators(gp, d)), d
+
+
+@pytest.mark.parametrize(
     "gp",
     [gr.make_group(*case) for case in SMALL_GRID + [(5, 6, 1), (7, 5, 1), (11, 3, 1)]]
     + [_p2_group(r, tau) for r, tau in [(4, 1), (5, 0), (5, 1), (6, 1), (6, 2), (7, 3)]],
@@ -732,12 +743,16 @@ def test_normal_form_and_powers_keep_their_digests(key):
 
 @pytest.mark.parametrize("key", list(NORMAL_FORM_DIGESTS))
 def test_rows_of_the_head_match_the_table(key):
-    # the digest test's generating sets: every row, computed on demand
+    # the digest test's generating sets: every row, computed on demand, and
+    # the table's rows equal the alpha-power walk
     gp = _pinned_group(key)
     for gens in _seeded_generating_sets(gp, random.Random(repr(key)), 300):
-        table = sg.SubgroupTable.from_generators(gp, gens)
-        row = sg._rows(gp, sg._head(gp, gens))
-        assert [row(k) for k in range(len(table.reps))] == [a for _, a in table.reps], gens
+        head = sg._head(gp, gens)
+        walked, row = walked_rows(gp, head), sg._rows(gp, head)
+        assert [row(k) for k in range(len(walked))] == walked, gens
+        assert sg.SubgroupTable.from_generators(gp, gens).reps == tuple(
+            (k * head[1], a) for k, a in enumerate(walked)
+        ), gens
 
 
 @pytest.mark.parametrize("p", [101, 211])
@@ -745,7 +760,7 @@ def test_rows_of_the_head_match_the_table_at_large_p(p):
     gp = gr.make_group(p, 5, 1)
     rng = random.Random(p)
     for gens in _seeded_generating_sets(gp, rng, 12):
-        table = sg.SubgroupTable.from_generators(gp, gens)
-        row = sg._rows(gp, sg._head(gp, gens))
-        for k in rng.sample(range(len(table.reps)), min(len(table.reps), 40)):
-            assert row(k) == table.reps[k][1], (gens, k)
+        head = sg._head(gp, gens)
+        walked, row = walked_rows(gp, head), sg._rows(gp, head)
+        for k in rng.sample(range(len(walked)), min(len(walked), 40)):
+            assert row(k) == walked[k], (gens, k)
