@@ -247,10 +247,11 @@ def _head(gp: gr.SemidirectGroup, gens) -> tuple[int, int, int]:
 
 
 def _rows(gp: gr.SemidirectGroup, head: tuple[int, int, int]):
-    """k -> a_k = a_1 (q^k - 1)/(q - 1) mod d, with q = alpha^s mod x_mod +
-    x_mod > 1, read from q^k mod d*(q - 1)."""
+    """k -> a_k = a_1 (q^k - 1)/(q - 1) mod d, read from q^k mod d*(q - 1).
+    a_k mod d depends only on alpha^s mod d, so q = alpha^s mod d + 2d > 1,
+    also at d = 1."""
     d, s, a_1 = head
-    q = pow(gp.alpha, s, gp.x_mod) + gp.x_mod
+    q = pow(gp.alpha, s, d) + 2 * d
     mod = d * (q - 1)
     return lambda k: a_1 * ((pow(q, k, mod) - 1) // (q - 1)) % d
 

@@ -12,6 +12,9 @@ references that closed form is checked against:
                                   that every level set is a coset of K
     fourier_distribution          exact outcome law of one coset state, by
                                   direct root-of-unity summation
+    fourier_sample_loop           qsim.fourier_sample's general loop, which
+                                  its one-register closed form must match
+                                  draw for draw
     branch_mixture_distribution   exact mixture over every level set
     dense_reference_distribution  the same mixture from complex-double state
                                   vectors and QFT matrices
@@ -195,6 +198,19 @@ def fourier_distribution(s: CosetSupport) -> OutcomeDistribution:
     if sum(probs.values()) != 1:
         raise AssertionError("outcome probabilities must sum to exactly 1")
     return OutcomeDistribution(dims=dims, probs=probs)
+
+
+def fourier_sample_loop(s: CosetSupport, rng) -> Register:
+    """One Fourier outcome by the per-coordinate loop on every register: one
+    randrange(L) per annihilator generator, L = lcm(dims)."""
+    dims = s.dims
+    L = math.lcm(*dims)
+    c = [0] * len(dims)
+    for g in s.ann:
+        k = rng.randrange(L)
+        for j, gj in enumerate(g):
+            c[j] += k * gj
+    return tuple(cj % n for cj, n in zip(c, dims))
 
 
 def dense_reference_distribution(o, domain: Domain) -> dict:

@@ -475,21 +475,30 @@ def test_fourier_distribution_probability_independent_of_base():
 
 # SHA-256 of repr((base, character)) over 300 coset_sample -> fourier_sample
 # pairs, recorded with the sampler's original per-coordinate loops: a faster
-# sampler must draw the same RNG stream, or every seeded report moves.
+# sampler must draw the same RNG stream, or every seeded report moves. H =
+# sg1x(0) fills the x axis, so its annihilator is empty and no character is
+# drawn; crt-5 is the Z_5 slot of N = 1215 = 3^5 * 5 on the parent oracle.
+D1215 = cx.decompose(cx.make_composite(1215, 3, 271))
 SAMPLER_STREAMS = [
-    ("x-axis", (243,), ((1, 0),), sg.sg1x(2), 30,
+    ("x-axis", G351, sg.generators(G351, sg.sg1x(2)), (243,), ((1, 0),), 30,
      "9abca071c53933da50f5fcb3e2e0c689bbefd58445ddd2461ec774afe968f988"),
-    ("y-axis", (9,), ((0, 1),), sg.sg2(0, 1), 31,
+    ("y-axis", G351, sg.generators(G351, sg.sg2(0, 1)), (9,), ((0, 1),), 31,
      "552a85991314b0ebcdecd7fa30775cb6fc10c5257137f7005d0b6e99a2740c9e"),
-    ("abelianization", (27, 9), ((1, 0), (0, 1)), sg.sg2(1, 1), 32,
+    ("abelianization", G351, sg.generators(G351, sg.sg2(1, 1)), (27, 9),
+     ((1, 0), (0, 1)), 32,
      "9aa61b030292526ac859b3a175625aa44eee40c0c85fe4d93f13cf7a0eeb6769"),
+    ("x-axis-whole", G351, sg.generators(G351, sg.sg1x(0)), (243,), ((1, 0),), 33,
+     "5b46570f2a84075bb21664a97aa2faa457585c23db10a0a1ab35be1f3df24e00"),
+    ("crt-5", D1215.parent, [(3 * D1215.p_crt_unit % 1215, 1)], (5,),
+     ((D1215.abelian[0].crt_unit, 0),), 34,
+     "44bf0e9aa28f21027ff3fd61ee320f9e91026e0799f016b8b7255e5704372a9a"),
 ]
 
 
-@pytest.mark.parametrize("name, dims, axes, descr, seed, digest", SAMPLER_STREAMS,
+@pytest.mark.parametrize("name, group, gens, dims, axes, seed, digest", SAMPLER_STREAMS,
                          ids=[case[0] for case in SAMPLER_STREAMS])
-def test_sampler_stream_is_pinned(name, dims, axes, descr, seed, digest):
-    o = orc.make_oracle(G351, descr)
+def test_sampler_stream_is_pinned(name, group, gens, dims, axes, seed, digest):
+    o = orc.make_oracle_from_generators(group, gens)
     k = qsim.pullback(o, qsim.Domain(dims, axes, name))
     rng = random.Random(seed)
     h = hashlib.sha256()
@@ -499,6 +508,24 @@ def test_sampler_stream_is_pinned(name, dims, axes, descr, seed, digest):
         assert o.meter.queries == i  # one superposed query per sample
         h.update(repr((s.base, c)).encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_one_register_draw_matches_the_general_loop(p):
+    # annihilators of K = <p^i> on Z_(p^e) (none for i = 0, one generator
+    # otherwise) and a two-generator one that dual_kernel never returns: the
+    # closed form must return what the loop returns and leave the RNG in the
+    # same state
+    for e in (1, 2, 3):
+        n = p**e
+        anns = [tuple(qsim.dual_kernel((n,), [(p**i,)])) for i in range(e + 1)]
+        assert [len(ann) for ann in anns] == [0] + [1] * e
+        for ann in anns + [((1,), (p,))]:
+            s = qsim.CosetSupport((n,), (0,), (), ann)
+            fast, loop = random.Random(n + len(ann)), random.Random(n + len(ann))
+            for _ in range(100):
+                assert qsim.fourier_sample(s, fast) == reference.fourier_sample_loop(s, loop)
+            assert fast.getstate() == loop.getstate()
 
 
 def test_fourier_sample_satisfies_linear_constraint():
