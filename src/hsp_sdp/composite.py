@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import group as gr
 from . import numtheory as nt
@@ -27,23 +27,20 @@ from . import subgroup as sg
 from .errors import InvalidPrime, PreconditionViolated, RTooSmall, VerificationFailed, shown
 
 
-@dataclass(frozen=True)
-class CompositeParams:
+class CompositeParams(NamedTuple):
     N: int
     p: int
     alpha: int
     factorization: tuple  # sorted ((prime, exponent), ...)
 
 
-@dataclass(frozen=True)
-class AbelianFactor:
+class AbelianFactor(NamedTuple):
     prime: int
     modulus: int  # the power of prime that exactly divides N
     crt_unit: int  # 1 mod modulus, 0 mod N / modulus
 
 
-@dataclass(frozen=True)
-class FactorDecomposition:
+class FactorDecomposition(NamedTuple):
     parent: gr.SemidirectGroup
     semidirect: gr.GroupParams
     p_crt_unit: int
@@ -128,8 +125,7 @@ class FactorOracle(orc.HidingOracle):
         return d_p, s, a_1 % d_p
 
 
-@dataclass(frozen=True)
-class CompositeSolveResult:
+class CompositeSolveResult(NamedTuple):
     params: CompositeParams
     semidirect_report: solver.SolveReport
     abelian_valuations: tuple  # ((prime, valuation), ...)

@@ -13,7 +13,7 @@ per-element range validation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import numtheory as nt
 from .errors import InvalidPrime, NotInvertible, Overflow, PreconditionViolated, RTooSmall, shown
@@ -30,8 +30,7 @@ CLASS1 = "class1"
 CLASS2 = "class2"
 
 
-@dataclass(frozen=True)
-class SemidirectGroup:
+class SemidirectGroup(NamedTuple):
     """Z_{x_mod} x| Z_{p^2} with y-conjugation scaling x by alpha."""
 
     x_mod: int
@@ -44,13 +43,18 @@ class SemidirectGroup:
         return self.x_mod * self.y_mod
 
 
-@dataclass(frozen=True)
-class GroupParams(SemidirectGroup):
+class GroupParams(NamedTuple):
     """The prime-power case Z_{p^r} x| Z_{p^2} with alpha = tau*p^(r-2) + 1."""
 
+    x_mod: int
+    p: int
+    alpha: int
+    y_mod: int
     r: int
     tau: int
     class_tag: str
+
+    order = SemidirectGroup.order
 
 
 def make_semidirect(x_mod: int, p: int, alpha: int) -> SemidirectGroup:
@@ -88,7 +92,7 @@ def make_group(p: int, r: int, tau: int) -> GroupParams:
     base = make_semidirect(p**r, p, tau * p ** (r - 2) + 1)
     g = math.gcd(tau, p * p)
     class_tag = CLASS1 if g == 1 else CLASS2 if g == p else CLASS_ABELIAN
-    return GroupParams(**asdict(base), r=r, tau=tau, class_tag=class_tag)
+    return GroupParams(*base, r, tau, class_tag)
 
 
 def alpha_powers(gp: SemidirectGroup) -> list[int]:

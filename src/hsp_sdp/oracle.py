@@ -24,7 +24,6 @@ has its own guard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import group as gr
 from . import subgroup as sg
@@ -49,15 +48,27 @@ class Label:
         return f"Label({self._packed})"
 
 
-@dataclass
 class Meter:
     """Costs charged to one oracle: queries, simulation evaluations, and the
     Las Vegas attempts and retries of the routines that ran on it."""
 
-    queries: int = 0
-    sim_evals: int = 0
-    iterations: int = 0
-    retries: int = 0
+    __slots__ = ("queries", "sim_evals", "iterations", "retries")
+
+    def __init__(self, queries: int = 0, sim_evals: int = 0,
+                 iterations: int = 0, retries: int = 0):
+        self.queries = queries
+        self.sim_evals = sim_evals
+        self.iterations = iterations
+        self.retries = retries
+
+    def __eq__(self, other):
+        if type(other) is not Meter:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)}" for k in self.__slots__)
+        return f"Meter({fields})"
 
     def attempt(self, k: int) -> None:
         """Count attempt number k (from 1); every attempt after the first is a retry."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import group as gr
 from . import numtheory as nt
@@ -183,8 +183,7 @@ def solve_class2(o, m, n, rng):
     return _abelian_route(o, m, rng)
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     group: dict
     recovered: sg.Descriptor
     strategy: str
@@ -199,7 +198,10 @@ class SolveReport:
     first_try: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "recovered": sg.descriptor_to_json(self.recovered)}
+        # a copy of group: editing the document must not edit the report
+        out = {**self._asdict(), "group": dict(self.group)}
+        out["recovered"] = sg.descriptor_to_json(self.recovered)
+        return out
 
 
 def solve(o, strategy: str = "direct", seed: int = 0) -> SolveReport:

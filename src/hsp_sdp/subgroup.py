@@ -44,8 +44,8 @@ canonicalize reads the catalog descriptor off the head:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from . import group as gr
 from . import numtheory as nt
@@ -57,8 +57,7 @@ BRUTE_FORCE_GUARD = 2**20
 SubgroupSet = frozenset  # frozenset[gr.Element]
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     form: str
     i: int
     t: int | None = None
@@ -159,8 +158,7 @@ def descriptor_head(gp: gr.GroupParams, d: Descriptor) -> tuple[int, int, int]:
 # ------------------------------------------------------------ normal form
 
 
-@dataclass(frozen=True)
-class SubgroupTable:
+class SubgroupTable(NamedTuple):
     """Transversal normal form: x-step d plus one x-offset per y-value.
 
     The element set is exactly {(a_b + d*u mod x_mod, b)} over rep pairs

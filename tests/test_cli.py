@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -504,6 +505,16 @@ def test_sweep_worker_uses_the_group_and_descriptor_it_is_given(monkeypatch):
     monkeypatch.setattr(sg, "descriptor_from_json", refused)
     assert [cli._sweep_worker(t) for t in tasks] == want
     assert want[0][1][0] == '{"form":"sg1x","i":0}'
+
+
+def test_sweep_tasks_survive_the_pool_pickle():
+    # the process pool pickles each task; Tier-1 sweeps rarely fan out
+    gp = gr.make_group(3, 5, 1)
+    tasks = [(gp, d, 1, 7, idx) for idx, d in enumerate(sg.enumerate_catalog(gp))]
+    back = pickle.loads(pickle.dumps(tasks))
+    assert back == tasks
+    assert {(type(t[0]), type(t[1])) for t in back} == {(gr.GroupParams, sg.Descriptor)}
+    assert [cli._sweep_worker(t) for t in back[::9]] == [cli._sweep_worker(t) for t in tasks[::9]]
 
 
 def test_sweep_rejects_non_positive_trials_exit_2(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -239,7 +238,7 @@ def test_combined_verification_stops_at_first_generator_outside(monkeypatch):
     solve = solver.solve
 
     def faulty(o, **kw):
-        return dataclasses.replace(solve(o, **kw), recovered=sg.sg1x(0))
+        return solve(o, **kw)._replace(recovered=sg.sg1x(0))
 
     monkeypatch.setattr(solver, "solve", faulty)
     cp = params()

@@ -271,3 +271,11 @@ def test_make_group_builds_its_base_through_make_semidirect(monkeypatch):
     gp = gr.make_group(3, 5, 10)
     assert seen == [(243, 3, 28)]
     assert (gp.x_mod, gp.y_mod, gp.alpha, gp.tau) == (243, 9, 28, 1)
+
+
+def test_a_prime_power_group_differs_from_its_generic_base():
+    # value types compare as tuples: the 7 fields of GroupParams never equal
+    # the 4 of the SemidirectGroup with the same modulus and twist
+    base, gp = gr.make_semidirect(243, 3, 28), gr.make_group(3, 5, 1)
+    assert base != gp
+    assert gp.order == base.order == 2187

@@ -206,6 +206,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
 assert "numpy" not in sys.modules, "a CLI command loaded numpy"
+assert "dataclasses" not in sys.modules, "a CLI command loaded dataclasses"
 """
 
 

@@ -2,9 +2,8 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -364,12 +363,15 @@ def test_solver_pullbacks_meet_the_coset_conditions(monkeypatch):
     assert met and all(met)
 
 
-@dataclass(frozen=True)
-class CurvedDomain(qsim.Domain):
-    """Test-only non-linear domain u -> (f(u), 0); f must work elementwise on
-    int64 arrays as well as on ints. No linear domain reaches the coset guard."""
+class CurvedDomain(NamedTuple):
+    """Test-only non-linear domain u -> (f(u), 0) with qsim.Domain's fields;
+    f must work elementwise on int64 arrays as well as on ints. No linear
+    domain reaches the coset guard."""
 
-    f: Callable = None
+    dims: qsim.Register
+    axes: tuple
+    name: str
+    f: Callable
 
     def embed(self, group, u):
         a = self.f(u) % group.x_mod

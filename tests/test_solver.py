@@ -327,6 +327,14 @@ def test_final_verification_rejects_a_strict_subgroup_with_other_depths(monkeypa
         solver.solve(orc.make_oracle(G351, sg.sg1x(2)), seed=3)
 
 
+def test_solve_report_json_copies_the_group():
+    rep = solver.solve(orc.make_oracle(G351, sg.sg2(1, 1)), seed=3)
+    blob = rep.to_json()
+    blob["group"]["p"] = 5
+    assert rep.group == {"p": 3, "r": 5, "tau": 1, "class": gr.CLASS1}
+    assert rep.to_json()["group"]["p"] == 3
+
+
 def test_solve_report_json_matches_schema():
     schema = json.loads(
         resources.files("hsp_sdp").joinpath("schemas/solve_report.schema.json").read_text()
