@@ -48,18 +48,19 @@ x^(s n), y^(n_v) and x^(s (alpha - 1)) lie in H. Per solver domain:
 A sample is a handful of RNG draws: coset_sample draws one base coordinate
 per register and builds one CosetSupport sharing K's generators and
 annihilator, and fourier_sample draws one multiplier per annihilator
-generator, on Z_n straight into the one coordinate. A sample pair takes
-about 1.55 us on the x axis at (3, 5): the Fourier draw 0.4 us (1.3 us
-through the per-coordinate loop), the CosetSupport build 0.35 us
-(2-vCPU VM, Python 3.11).
+generator straight into the one or two coordinates. At (3, 5) a sample pair
+takes about 1.55 us on the x axis: the CosetSupport build 0.35 us and the
+Fourier draw 0.4 us. On the abelian route's Z_27 x Z_9 the draw takes 0.6 us
+for one annihilator generator and 0.9 us for two; the per-coordinate loop
+took 1.3, 1.7 and 2.1 us (2-vCPU VM, Python 3.11).
 On a 1-D register Z_n, dual_kernel is the closed form
 <n / gcd(n, c_1, ..., c_k)>, which is what the p-adic elimination returns
 there; that covers the x- and y-axis recoveries and every 1-D annihilator.
 
 Three pure functions of frozen values are cached at module level, which is
 exact: the probe's six points per (group, dims, axes), K's annihilator per
-(dims, K generators) and the register constants per dims (_register). Labels, head reads and their charges are not
-cached, so every call still evaluates, meters and can raise.
+(dims, K generators) and _register's constants per dims. Labels, head reads
+and their charges are not cached: every call evaluates, meters and can raise.
 
 The test reference (tests/reference.py) labels every point with its
 level_set_scan and checks the coset structure by brute force; the tests pin
@@ -264,9 +265,10 @@ def fourier_sample(s: CosetSupport, rng) -> Register:
     by summation).
 
     Summing uniform multiples of the annihilator generators is a surjective
-    homomorphism from Z_L^k onto it, hence uniform. On Z_n (L = n) that sum
-    is one coordinate, drawn in closed form with the same randrange(n) calls
-    in the same order: (0,) and no draw when K is the whole register.
+    homomorphism from Z_L^k onto it, hence uniform. Two closed forms add it
+    into Z_n (L = n) or Z_n0 x Z_n1 (L the larger: both are powers of p), one
+    randrange(L) per generator in order, draw for draw as tests/reference.py's
+    fourier_sample_loop: no draw when K is the whole register.
     """
     dims = s.dims
     if len(dims) == 1:
@@ -275,13 +277,14 @@ def fourier_sample(s: CosetSupport, rng) -> Register:
         for g, in s.ann:
             c += rng.randrange(n) * g
         return (c % n,)
-    L = _register(dims)[1]
-    c = [0] * len(dims)
-    for g in s.ann:
+    n0, n1 = dims
+    L = n0 if n0 >= n1 else n1  # p-power dims: the lcm is the larger
+    c0 = c1 = 0
+    for g0, g1 in s.ann:
         k = rng.randrange(L)
-        for j, gj in enumerate(g):
-            c[j] += k * gj
-    return tuple(cj % n for cj, n in zip(c, dims))
+        c0 += k * g0
+        c1 += k * g1
+    return (c0 % n0, c1 % n1)
 
 
 # ------------------------------------------------------------ abelian HSP

@@ -12,9 +12,9 @@ references that closed form is checked against:
                                   that every level set is a coset of K
     fourier_distribution          exact outcome law of one coset state, by
                                   direct root-of-unity summation
-    fourier_sample_loop           qsim.fourier_sample's general loop, which
-                                  its one-register closed form must match
-                                  draw for draw
+    fourier_sample_loop           the per-coordinate loop on any register,
+                                  which qsim.fourier_sample's two closed
+                                  forms must match draw for draw
     branch_mixture_distribution   exact mixture over every level set
     dense_reference_distribution  the same mixture from complex-double state
                                   vectors and QFT matrices

@@ -480,6 +480,9 @@ def test_fourier_distribution_probability_independent_of_base():
 # sampler must draw the same RNG stream, or every seeded report moves. H =
 # sg1x(0) fills the x axis, so its annihilator is empty and no character is
 # drawn; crt-5 is the Z_5 slot of N = 1215 = 3^5 * 5 on the parent oracle.
+# The two 2-D cases were recorded before the two-register closed form: on
+# cyclic-m1's Z_3 x Z_9 the y coordinate is the larger (L = n1), and the whole
+# group fills the abelian route's register, so again no character is drawn.
 D1215 = cx.decompose(cx.make_composite(1215, 3, 271))
 SAMPLER_STREAMS = [
     ("x-axis", G351, sg.generators(G351, sg.sg1x(2)), (243,), ((1, 0),), 30,
@@ -494,6 +497,12 @@ SAMPLER_STREAMS = [
     ("crt-5", D1215.parent, [(3 * D1215.p_crt_unit % 1215, 1)], (5,),
      ((D1215.abelian[0].crt_unit, 0),), 34,
      "44bf0e9aa28f21027ff3fd61ee320f9e91026e0799f016b8b7255e5704372a9a"),
+    ("cyclic-m1", G351, sg.generators(G351, sg.sg1m(1, 0, 1)), (3, 9),
+     ((1, 0), (0, 1)), 35,
+     "44233d1943a5fefe72a52cdff8111ec071f9b3601a195cd1247a5145a6c0c252"),
+    ("abelian-route-whole", G351, sg.generators(G351, sg.sg2(0, 0)), (27, 9),
+     ((9, 0), (0, 1)), 36,
+     "e42dc52599320640792929e0e6f2e8a03860df662871b26ccbf7a054636be5f4"),
 ]
 
 
@@ -525,6 +534,27 @@ def test_one_register_draw_matches_the_general_loop(p):
         for ann in anns + [((1,), (p,))]:
             s = qsim.CosetSupport((n,), (0,), (), ann)
             fast, loop = random.Random(n + len(ann)), random.Random(n + len(ann))
+            for _ in range(100):
+                assert qsim.fourier_sample(s, fast) == reference.fourier_sample_loop(s, loop)
+            assert fast.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_two_register_draw_matches_the_general_loop(p):
+    # dims (p^a, p^b) in both orders, so either coordinate can be the larger;
+    # annihilators of K with 0, 1 and 2 generators from dual_kernel (the last
+    # K is the whole register: no draw), and a hand-built two-generator one:
+    # the closed form must return what the loop returns and leave the RNG in
+    # the same state
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        dims = (p**a, p**b)
+        ks = [[], [(1, p)], [(p, 0), (0, p)], [(1, 0), (0, 1)]]
+        anns = [tuple(qsim.dual_kernel(dims, k)) for k in ks]
+        assert len(anns[0]) == len(anns[2]) == 2 and anns[1] and not anns[3]
+        for ann in anns + [((1, 1), (p, 0))]:
+            s = qsim.CosetSupport(dims, (0, 0), (), ann)
+            seed = p * 100 + a * 10 + b + len(ann)
+            fast, loop = random.Random(seed), random.Random(seed)
             for _ in range(100):
                 assert qsim.fourier_sample(s, fast) == reference.fourier_sample_loop(s, loop)
             assert fast.getstate() == loop.getstate()
