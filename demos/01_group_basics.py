@@ -18,7 +18,14 @@ arithmetic: products, inverses, powers, conjugation, commutators, and the
 abelianization map that crushes the twist away.
 """
 
+import pathlib
+import sys
+
 from hsp_sdp import group as gr
+
+# the order and abelianization maps are test code, kept in tests/
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from helpers import abelianization_map, element_order
 
 
 def show(label, value):
@@ -46,8 +53,8 @@ def main():
     show("g^-1", gr.inv(gp, g))
     show("g * g^-1", gr.mul(gp, g, gr.inv(gp, g)))
     show("g^6 by repeated squaring", gr.power(gp, g, 6))
-    show("order of g", gr.element_order(gp, g))
-    show("order of y", gr.element_order(gp, y))
+    show("order of g", element_order(gp, g))
+    show("order of y", element_order(gp, y))
 
     print("\n== conjugation moves x along the twist ==")
     show("y x y^-1", gr.conjugate(gp, x, y))
@@ -63,11 +70,11 @@ def main():
             show(f"tau={tau} commutator depth", gr.commutator_depth(g2))
 
     print("\n== abelianization: quotient where the twist dies ==")
-    show("image of x", gr.abelianization_map(gp, x))
-    show("image of y", gr.abelianization_map(gp, y))
+    show("image of x", abelianization_map(gp, x))
+    show("image of y", abelianization_map(gp, y))
     comm = gr.mul(gp, gr.conjugate(gp, x, y), gr.inv(gp, x))
     show("[y,x] in G", comm)
-    show("image of [y,x] (must be trivial)", gr.abelianization_map(gp, comm))
+    show("image of [y,x] (must be trivial)", abelianization_map(gp, comm))
 
 
 if __name__ == "__main__":

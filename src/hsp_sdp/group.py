@@ -134,26 +134,7 @@ def conjugate(gp: SemidirectGroup, g: Element, h: Element) -> Element:
     return mul(gp, mul(gp, h, g), inv(gp, h))
 
 
-def element_order(gp: SemidirectGroup, g: Element) -> int:
-    """Exact multiplicative order of g (divisor-refinement over |G|)."""
-    order = gp.order
-    for q, e in nt.factorize(order).items():
-        for _ in range(e):
-            if power(gp, g, order // q) == IDENTITY:
-                order //= q
-            else:
-                break
-    return order
-
-
 def commutator_depth(gp: GroupParams) -> int:
     """c with [G, G] = <x^(p^(r-c))>: 2 for class1, 1 for class2, 0 for the
     abelian class, whose commutator subgroup <x^(p^r)> is trivial."""
     return 2 if gp.class_tag == CLASS1 else 1 if gp.class_tag == CLASS2 else 0
-
-
-def abelianization_map(gp: GroupParams, g: Element) -> tuple[int, int]:
-    """Projection to G/[G,G] = Z_{p^(r-c)} x Z_{p^2}."""
-    c = commutator_depth(gp)
-    a, b = g
-    return (a % gp.p ** (gp.r - c), b)

@@ -1,10 +1,10 @@
-"""Reference code that only tests call: register spans and axis depths
-computed by brute force from explicit element sets, the alpha-power walk
-over a head's rows that subgroup._rows' closed form replaced, the row walk
-that qsim.pullback's closed form replaced, the element walk that the
-lattice's cyclic pass replaced, the product enumeration that the
-commutator's multiples replaced, and a recorder of the elements an oracle is
-queried on."""
+"""Reference code that only tests and demos call: register spans and axis
+depths computed by brute force from explicit element sets, element orders
+and the abelianization map, the alpha-power walk over a head's rows that
+subgroup._rows' closed form replaced, the row walk that qsim.pullback's
+closed form replaced, the element walk that the lattice's cyclic pass
+replaced, the product enumeration that the commutator's multiples replaced,
+and a recorder of the elements an oracle is queried on."""
 
 import math
 from functools import reduce
@@ -31,6 +31,25 @@ def register_span(dims: Register, gens) -> frozenset:
                     fresh.append(v)
             frontier = fresh
     return frozenset(span)
+
+
+def element_order(gp: gr.SemidirectGroup, g: gr.Element) -> int:
+    """Exact multiplicative order of g (divisor-refinement over |G|)."""
+    order = gp.order
+    for q, e in nt.factorize(order).items():
+        for _ in range(e):
+            if gr.power(gp, g, order // q) == gr.IDENTITY:
+                order //= q
+            else:
+                break
+    return order
+
+
+def abelianization_map(gp: gr.GroupParams, g: gr.Element) -> tuple[int, int]:
+    """Projection to G/[G,G] = Z_{p^(r-c)} x Z_{p^2}."""
+    c = gr.commutator_depth(gp)
+    a, b = g
+    return (a % gp.p ** (gp.r - c), b)
 
 
 def intersect_with_axis(gp: gr.GroupParams, subgroup: SubgroupSet, axis: str) -> int:

@@ -15,6 +15,10 @@ references that closed form is checked against:
     fourier_sample_loop           the per-coordinate loop on any register,
                                   which qsim.fourier_sample's two closed
                                   forms must match draw for draw
+    dual_kernel_loop, embed_loop  the p-adic elimination and the linear
+                                  embedding on any register count, which
+                                  qsim.dual_kernel's and Domain.embed's one-
+                                  and two-register forms must equal
     branch_mixture_distribution   exact mixture over every level set
     dense_reference_distribution  the same mixture from complex-double state
                                   vectors and QFT matrices
@@ -35,14 +39,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from hsp_sdp import group as gr
+from hsp_sdp import numtheory as nt
 from hsp_sdp import subgroup as sg
 from hsp_sdp.errors import PreconditionViolated, TooLarge
-from hsp_sdp.qsim import CosetSupport, Domain, Register, _add, dual_kernel
+from hsp_sdp.qsim import CosetSupport, Domain, Register, _add, _register, dual_kernel
 
 from helpers import register_span
 
@@ -211,6 +217,55 @@ def fourier_sample_loop(s: CosetSupport, rng) -> Register:
         for j, gj in enumerate(g):
             c[j] += k * gj
     return tuple(cj % n for cj, n in zip(c, dims))
+
+
+def dual_kernel_loop(dims: Register, vectors) -> list[Register]:
+    """qsim.dual_kernel on any register count: each new vector cuts the
+    generator list by p-adic pivoting (least p-valuation of the pairing,
+    ties to the earlier generator), so the list never grows beyond the
+    register count. The pivot's scaled multiple goes last."""
+    dims = tuple(dims)
+    L, weights = _register(dims)
+    p = min(nt.factorize(L))
+    exp_l = nt.p_valuation(L, p)[0]
+    gens: list[Register] = [
+        tuple(1 if j == l else 0 for j in range(len(dims))) for l in range(len(dims))
+    ]
+    for c in dict.fromkeys(map(tuple, vectors)):  # a repeat pairs to 0 with gens
+        cw = [cj * wt for cj, wt in zip(c, weights)]
+        ds = [sum(map(mul, cw, w)) % L for w in gens]
+        live = [l for l in range(len(gens)) if ds[l]]
+        if not live:
+            continue
+        pivot = min(live, key=lambda l: (nt.p_valuation(ds[l], p)[0], l))
+        v, u = nt.p_valuation(ds[pivot], p)
+        modulus = p ** (exp_l - v)
+        inv_u = nt.mod_inv(u, modulus)
+        fresh: list[Register] = []
+        for l, w in enumerate(gens):
+            if l == pivot:
+                continue
+            if ds[l]:
+                k = (ds[l] // p**v) * inv_u % modulus
+                w = tuple(
+                    (wj - k * pj) % n for wj, pj, n in zip(w, gens[pivot], dims)
+                )
+            if any(w):
+                fresh.append(w)
+        scaled = tuple(modulus * pj % n for pj, n in zip(gens[pivot], dims))
+        if any(scaled):
+            fresh.append(scaled)
+        gens = fresh
+    return gens
+
+
+def embed_loop(domain: Domain, group: gr.SemidirectGroup, u) -> gr.Element:
+    """Domain.embed on any register count: (sum_j u_j dx_j mod x_mod,
+    sum_j u_j dy_j mod y_mod), each step reduced first."""
+    x_mod, y_mod = group.x_mod, group.y_mod
+    a = sum(c * (dx % x_mod) for c, (dx, _) in zip(u, domain.axes)) % x_mod
+    b = sum(c * (dy % y_mod) for c, (_, dy) in zip(u, domain.axes)) % y_mod
+    return a, b
 
 
 def dense_reference_distribution(o, domain: Domain) -> dict:

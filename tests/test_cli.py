@@ -370,6 +370,17 @@ def test_sweep_full_catalog(capsys, monkeypatch):
         assert float(row[4]) >= 1
 
 
+# 246 and 169 solves whose abelian routes run at p = 7 and 5: the stored
+# CSVs were recorded before qsim's two-register kernel was written out
+@pytest.mark.parametrize("p, r, tau", [(7, 5, 1), (5, 6, 5)])
+def test_sweep_reproduces_stored_csv_at_p5_and_p7(capsys, monkeypatch, p, r, tau):
+    monkeypatch.setenv("HSP_SDP_THREADS", "1")
+    argv = ["sweep", "--p", str(p), "--r", str(r), "--tau", str(tau), "--trials", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == stored(f"sweep_p{p}_r{r}_tau{tau}_trials1.csv")
+
+
 def test_sweep_is_deterministic_and_parallel_agrees(capsys, monkeypatch):
     argv = ["sweep", "--p", "3", "--r", "5", "--tau", "3", "--trials", "1", "--seed", "5"]
     monkeypatch.setenv("HSP_SDP_THREADS", "1")

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from hsp_sdp import composite as cx
@@ -90,14 +91,16 @@ def test_dual_kernel_rejects_mixed_primes():
     "dims", [(243,), (9,), (81, 9), (3, 9), (25, 25), (125, 25), (7, 49), (27, 9, 3)]
 )
 def test_dual_kernel_ignores_repeats_and_zeros(dims):
+    # qsim.dual_kernel takes one or two registers; three run the reference
+    kernel = qsim.dual_kernel if len(dims) <= 2 else reference.dual_kernel_loop
     rng = random.Random(math.prod(dims))
     L = math.lcm(*dims)
     zero = (0,) * len(dims)
     points = list(itertools.product(*map(range, dims))) if math.prod(dims) <= 729 else []
     for _ in range(30):
         vs = [tuple(rng.randrange(n) for n in dims) for _ in range(rng.randrange(5))]
-        gens = qsim.dual_kernel(dims, vs)
-        assert qsim.dual_kernel(dims, vs + vs[::-1] + [zero]) == gens
+        gens = kernel(dims, vs)
+        assert kernel(dims, vs + vs[::-1] + [zero]) == gens
         if points:
             want = {
                 w for w in points
@@ -120,6 +123,38 @@ def test_dual_kernel_one_register_closed_form_matches_brute_force(n):
         gens = qsim.dual_kernel((n,), vs)
         assert len(gens) <= 1 and all(0 < g < n and n % g == 0 for (g,) in gens), (vs, gens)
         assert register_span((n,), gens) == want, vs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_two_register_kernel_matches_the_general_elimination(p):
+    # dims (p^a, p^b) in both orders; character lists with repeats, zeros,
+    # negative entries and entries >= n, and subgroup generators: the written-
+    # out elimination must return the loop's list, in order
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        dims = (p**a, p**b)
+        rng = random.Random(p * 100 + a * 10 + b)
+        lists = [[], [(0, 0)], [dims], [(-1, -1)], [(1, p)] * 3,
+                 [(p, 0), (0, p)], [(1, 0), (0, 1)]]
+        while len(lists) < 60:
+            pool = [rng.randrange(-3 * n, 3 * n) for n in dims]
+            pool += [0, dims[0], -dims[1], rng.randrange(dims[0]) * p, rng.randrange(dims[1])]
+            vs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(1, 8))]
+            lists.append(vs + vs[: rng.randrange(3)])
+        for vs in lists:
+            assert qsim.dual_kernel(dims, vs) == reference.dual_kernel_loop(dims, vs), (dims, vs)
+
+
+def test_dual_kernel_keeps_the_redundant_second_generator():
+    # (9, 0) = 18 (26, 1) adds nothing to the span, but fourier_sample draws
+    # once per generator: dropping it would move every seeded stream
+    assert qsim.dual_kernel((27, 9), [(3, 1)]) == [(26, 1), (9, 0)]
+
+
+def test_three_registers_raise():
+    with pytest.raises(ValueError):
+        qsim.dual_kernel((27, 9, 3), [(1, 1, 1)])
+    with pytest.raises(ValueError):
+        qsim.Domain((3, 3, 3), ((1, 0), (0, 1), (1, 1))).embed(G351, (1, 1, 1))
 
 
 # ---------------------------------------------------------------- coset_sample
@@ -430,6 +465,29 @@ def test_coset_sample_rejects_domains_without_closed_form():
         with pytest.raises(PreconditionViolated, match="no closed-form level sets"):
             qsim.pullback(o, dom)
     assert o.meter.queries == 0
+
+
+def test_embed_matches_the_general_loop():
+    # every solver domain shape, and the hand-built swapped, diagonal, skew
+    # and crt-5 domains, on ints and on the scan's int64 index arrays
+    dec = cx.decompose(cx.make_composite(1215, 3, 271))
+    cases = [(gp, dom) for gp in (G350, G351, G353, G561, gr.make_group(7, 5, 1))
+             for dom in solver_domains(gp)]
+    cases += [(dec.semidirect, dom) for dom in solver_domains(dec.semidirect)]
+    cases += [(G351, qsim.Domain((3, 3), ((0, 1), (1, 0)), name="swapped")),
+              (G351, qsim.Domain((3, 3), ((0, 1), (0, 1)), name="diagonal")),
+              (G351, qsim.Domain((3,), ((1, 1),), name="skew")),
+              (dec.parent, qsim.Domain((5,), ((dec.abelian[0].crt_unit, 0),), name="crt-5"))]
+    rng = random.Random(36)
+    for gp, dom in cases:
+        pts = [tuple(rng.randrange(-n, 2 * n) for n in dom.dims) for _ in range(40)]
+        pts.append(qsim._zero(dom.dims))
+        for pt in pts:
+            assert dom.embed(gp, pt) == reference.embed_loop(dom, gp, pt), (dom, pt)
+        if math.prod(dom.dims) <= reference.COSET_GUARD:
+            coords = np.unravel_index(np.arange(math.prod(dom.dims)), dom.dims)
+            for got, want in zip(dom.embed(gp, coords), reference.embed_loop(dom, gp, coords)):
+                assert np.array_equal(got, want), dom
 
 
 # ---------------------------------------------------------------- fourier_distribution
